@@ -48,9 +48,16 @@
 //! Entries are individually reference-counted (`Arc`) and the bookkeeping
 //! tables are copy-on-write, so cloning the index for snapshot publication
 //! shares all untouched state.
+//!
+//! # Recorded tasks
+//!
+//! Every batch also records each inserted key's [`TaskKind`], and
+//! snapshots persist that table. Opening an engine derives its default
+//! reference per task from it, so a cold open never decodes a model
+//! just to learn what it is for.
 
 use serde::{Deserialize, Serialize};
-use sommelier_graph::{Fingerprint, Model};
+use sommelier_graph::{Fingerprint, Model, TaskKind};
 use sommelier_parallel::ThreadPool;
 use sommelier_runtime::metrics::counters;
 use sommelier_tensor::mix64;
@@ -305,24 +312,34 @@ pub struct SemanticIndex {
     /// after deserialization — rematerialized lazily on the first
     /// universe-changing mutation, so read-only opens never pay for it.
     samples: Option<Arc<HashMap<u64, Vec<u64>>>>,
+    /// Key → task of the indexed model. Every inserted key is recorded;
+    /// keys restored through [`SemanticIndex::from_parts`] (or from
+    /// snapshots written before tasks were recorded) have none until
+    /// [`SemanticIndex::set_task`] fills them in.
+    tasks: Arc<HashMap<String, TaskKind>>,
 }
 
 // The edge table serializes as a sorted row list appended after the
-// legacy fields (snapshots without it still parse); `order` is emitted
-// for layout continuity but rebuilt from `by_key` on input, and the
-// per-entry `Arc`s are invisible to the wire format.
+// legacy fields (snapshots without it still parse), and the recorded
+// tasks follow as an optional field, omitted when none are recorded;
+// `order` is emitted for layout continuity but rebuilt from `by_key` on
+// input, and the per-entry `Arc`s are invisible to the wire format.
 impl Serialize for SemanticIndex {
     fn to_value(&self) -> serde::Value {
         let entries: HashMap<Fingerprint, &Entry> =
             self.entries.iter().map(|(fp, e)| (*fp, &**e)).collect();
-        serde::Value::Map(vec![
+        let mut fields = vec![
             ("config".to_string(), self.config.to_value()),
             ("entries".to_string(), entries.to_value()),
             ("by_key".to_string(), (*self.by_key).to_value()),
             ("order".to_string(), (*self.order).to_value()),
             ("seed_state".to_string(), self.seed_state.to_value()),
             ("edges".to_string(), self.edge_rows().to_value()),
-        ])
+        ];
+        if !self.tasks.is_empty() {
+            fields.push(("tasks".to_string(), (*self.tasks).to_value()));
+        }
+        serde::Value::Map(fields)
     }
 }
 
@@ -340,9 +357,13 @@ impl Deserialize for SemanticIndex {
             None | Some(serde::Value::Null) => Vec::new(),
             Some(x) => Deserialize::from_value(x)?,
         };
+        let tasks: HashMap<String, TaskKind> = match v.get_field("tasks") {
+            None | Some(serde::Value::Null) => HashMap::new(),
+            Some(x) => Deserialize::from_value(x)?,
+        };
         let mut order: Vec<String> = by_key.keys().cloned().collect();
         order.sort_unstable();
-        Ok(SemanticIndex {
+        SemanticIndex {
             config,
             entries: entries
                 .into_iter()
@@ -353,7 +374,10 @@ impl Deserialize for SemanticIndex {
             seed_state,
             edges: Arc::new(EdgeTable::from_rows(rows)),
             samples: None,
-        })
+            tasks: Arc::new(HashMap::new()),
+        }
+        .with_recorded_tasks(tasks)
+        .map_err(serde::DeError::custom)
     }
 }
 
@@ -471,6 +495,7 @@ impl SemanticIndex {
             seed_state: seed,
             edges: Arc::new(EdgeTable::default()),
             samples: Some(Arc::new(HashMap::new())),
+            tasks: Arc::new(HashMap::new()),
         }
     }
 
@@ -514,7 +539,21 @@ impl SemanticIndex {
             seed_state: seed,
             edges: Arc::new(EdgeTable::from_rows(rows)),
             samples: None,
+            tasks: Arc::new(HashMap::new()),
         }
+    }
+
+    /// Attach decoded task records (both snapshot loaders). A record
+    /// for a key the index does not hold is malformed input.
+    pub(crate) fn with_recorded_tasks(
+        mut self,
+        tasks: HashMap<String, TaskKind>,
+    ) -> Result<Self, String> {
+        if let Some(key) = tasks.keys().find(|k| !self.by_key.contains_key(*k)) {
+            return Err(format!("task recorded for unindexed key '{key}'"));
+        }
+        self.tasks = Arc::new(tasks);
+        Ok(self)
     }
 
     /// The serialized edge table: one row per attempted pair, sorted by
@@ -564,6 +603,32 @@ impl SemanticIndex {
     /// Whether a key is indexed.
     pub fn contains(&self, key: &str) -> bool {
         self.by_key.contains_key(key)
+    }
+
+    /// The task recorded for an indexed key, if any.
+    pub fn task_of(&self, key: &str) -> Option<TaskKind> {
+        self.tasks.get(key).copied()
+    }
+
+    /// Record (or, with `None`, forget) the task of an indexed key.
+    /// Keys the index does not hold are ignored.
+    pub fn set_task(&mut self, key: &str, task: Option<TaskKind>) {
+        if self.task_of(key) == task || !self.contains(key) {
+            return;
+        }
+        let tasks = Arc::make_mut(&mut self.tasks);
+        match task {
+            Some(t) => tasks.insert(key.to_string(), t),
+            None => tasks.remove(key),
+        };
+    }
+
+    /// Every recorded `(key, task)`, sorted by key.
+    pub fn tasks_audit(&self) -> Vec<(&str, TaskKind)> {
+        let mut out: Vec<(&str, TaskKind)> =
+            self.tasks.iter().map(|(k, t)| (k.as_str(), *t)).collect();
+        out.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        out
     }
 
     /// All indexed keys, sorted.
@@ -938,14 +1003,17 @@ impl SemanticIndex {
         {
             let by_key = Arc::make_mut(&mut self.by_key);
             let order = Arc::make_mut(&mut self.order);
+            let tasks = Arc::make_mut(&mut self.tasks);
             for k in &remove_keys {
                 by_key.remove(*k);
+                tasks.remove(*k);
                 if let Ok(i) = order.binary_search_by(|o| o.as_str().cmp(k)) {
                     order.remove(i);
                 }
             }
             for (m, fp) in models.iter().zip(&add_fps) {
                 by_key.insert(m.name.clone(), Fingerprint(*fp));
+                tasks.insert(m.name.clone(), m.task);
                 if let Err(i) = order.binary_search(&m.name) {
                     order.insert(i, m.name.clone());
                 }
@@ -1392,6 +1460,78 @@ mod tests {
         assert_eq!(idx.seed(), 7);
         assert!(idx.contains("m"));
         assert!(idx.edge_rows().is_empty());
+        assert!(idx.tasks_audit().is_empty(), "pre-task snapshots record none");
+    }
+
+    #[test]
+    fn recorded_tasks_follow_churn_and_match_a_bulk_build() {
+        // Tasks are part of the canonical state: a churned index records
+        // exactly the survivors' tasks, byte-identical to a bulk build.
+        let task_of = |i: usize| [TaskKind::Other, TaskKind::ImageRecognition][i % 2];
+        let names = ["a", "b", "c", "d", "e", "f"];
+        let models: Vec<Model> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                let mut m = model(n);
+                m.task = task_of(i);
+                m
+            })
+            .collect();
+        let pairs = dense_pairs(&names);
+        let cfg = SemanticIndexConfig {
+            sample_size: 2,
+            segments: false,
+            max_candidates: 16,
+        };
+        let res = resolver(models.clone());
+        let an = TableAnalyzer::new(&pairs);
+        let mut idx = SemanticIndex::new(cfg, 9);
+        idx.bulk_insert(&models, &res, &an);
+        assert!(idx.remove("b", &res, &an));
+        // Replace "c" with a model of another task, in one batch.
+        let mut recast = models[2].clone();
+        recast.task = TaskKind::SentimentAnalysis;
+        idx.apply_batch_with(
+            &sommelier_parallel::global(),
+            &["c".to_string()],
+            std::slice::from_ref(&recast),
+            &res,
+            &an,
+        );
+        let mut survivors: Vec<Model> = models
+            .iter()
+            .filter(|m| m.name != "b" && m.name != "c")
+            .cloned()
+            .collect();
+        survivors.push(recast);
+        let mut scratch = SemanticIndex::new(cfg, 9);
+        scratch.bulk_insert(&survivors, &res, &an);
+        let json = serde_json::to_string(&idx).unwrap();
+        assert!(json.contains("\"tasks\""), "{json}");
+        assert_eq!(json, serde_json::to_string(&scratch).unwrap());
+        assert_eq!(idx.task_of("b"), None);
+        assert_eq!(idx.task_of("c"), Some(TaskKind::SentimentAnalysis));
+        assert_eq!(idx.task_of("d"), Some(TaskKind::ImageRecognition));
+        let revived: SemanticIndex = serde_json::from_str(&json).unwrap();
+        assert_eq!(revived.tasks_audit(), idx.tasks_audit());
+    }
+
+    #[test]
+    fn a_task_for_an_unindexed_key_is_malformed() {
+        let json = r#"{
+            "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
+            "entries": {"42": {"key": "m", "candidates": []}},
+            "by_key": {"m": 42},
+            "order": ["m"],
+            "seed_state": 7,
+            "tasks": {"ghost": "Other"}
+        }"#;
+        let err = serde_json::from_str::<SemanticIndex>(json).unwrap_err();
+        assert!(err.to_string().contains("ghost"), "{err}");
+        let ok = json.replace("ghost", "m");
+        let idx: SemanticIndex = serde_json::from_str(&ok).unwrap();
+        assert_eq!(idx.task_of("m"), Some(TaskKind::Other));
     }
 
     #[test]

@@ -48,12 +48,19 @@
 //! reject unknown versions with a typed error (the engine then
 //! quarantines and rebuilds). New *optional* payload goes behind new
 //! `flags` bits within a version.
+//!
+//! Flag bit 3 (`tasks`) marks the recorded-task payload, appended to the
+//! `semantic` section after its key table: a `u32` count, then one
+//! `{ key_id u32, task_id u32 }` row per recorded key, key-sorted, where
+//! `task_id` names the task's slug in the string table. An index with
+//! no recorded tasks writes no payload and leaves the bit clear, so its
+//! image is byte-identical to one written before the payload existed.
 
 use crate::lsh::{CosineLsh, LshConfig};
 use crate::persist::{IndexSnapshot, PersistError, SnapshotStats, SNAPSHOT_VERSION};
 use crate::resource::{ResourceIndex, SLAB_STRIDE};
 use crate::semantic::{CandidateKind, CandidateRecord, EdgeRow, SemanticIndex, SemanticIndexConfig};
-use sommelier_graph::Fingerprint;
+use sommelier_graph::{Fingerprint, TaskKind};
 use sommelier_runtime::ResourceProfile;
 
 /// Magic bytes identifying a binary snapshot (the format sniff).
@@ -89,6 +96,7 @@ const EDGE_SEG_REV: u32 = 1 << 3;
 const FLAG_STATS: u32 = 1 << 0;
 const FLAG_EPOCH: u32 = 1 << 1;
 const FLAG_EXHAUSTIVE: u32 = 1 << 2;
+const FLAG_TASKS: u32 = 1 << 3;
 
 /// Candidate row `kind` tags.
 const KIND_WHOLE: u32 = 0;
@@ -371,6 +379,15 @@ pub fn encode(
     sem_entries.sort_by_key(|(fp, _, _)| fp.0);
     let (res_entries, _, res_lsh) = resource.canonical_view();
     let edge_rows = semantic.edge_rows();
+    // Aliases (extra keys sharing a canonical key's fingerprint) do not
+    // survive the binary image, so neither do their task records.
+    let canonical: std::collections::HashSet<&str> =
+        sem_entries.iter().map(|(_, key, _)| *key).collect();
+    let tasks: Vec<(&str, TaskKind)> = semantic
+        .tasks_audit()
+        .into_iter()
+        .filter(|(key, _)| canonical.contains(key))
+        .collect();
 
     let interner = Interner::build(
         res_entries
@@ -385,7 +402,8 @@ pub fn encode(
                     })
                 }))
             }))
-            .chain(semantic.keys().iter().map(String::as_str)),
+            .chain(semantic.keys().iter().map(String::as_str))
+            .chain(tasks.iter().map(|(_, t)| t.slug())),
     );
 
     // Section payloads.
@@ -473,6 +491,13 @@ pub fn encode(
     for key in semantic.keys() {
         put_u32(&mut sem, interner.id(key));
     }
+    if !tasks.is_empty() {
+        put_u32(&mut sem, tasks.len() as u32);
+        for (key, task) in &tasks {
+            put_u32(&mut sem, interner.id(key));
+            put_u32(&mut sem, interner.id(task.slug()));
+        }
+    }
 
     // Edge table: fixed rows, already (lo, hi)-sorted.
     let mut edges = Vec::new();
@@ -532,6 +557,9 @@ pub fn encode(
     }
     if resource.exhaustive {
         flags |= FLAG_EXHAUSTIVE;
+    }
+    if !tasks.is_empty() {
+        flags |= FLAG_TASKS;
     }
     put_u32(&mut header, flags);
     put_i64(&mut header, stats.and_then(|s| s.epoch).unwrap_or(0));
@@ -893,15 +921,26 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
         }
         sem_entries.push((fp, key, cands));
     }
+    // The key table is derived on load (sorted `by_key`); its ids are
+    // still validated.
     let order_len = c.u32()? as usize;
-    let mut order = Vec::with_capacity(order_len);
     for _ in 0..order_len {
-        order.push(lookup(&strings, c.u32()?, "order table")?.to_string());
+        lookup(&strings, c.u32()?, "order table")?;
+    }
+    let mut tasks = std::collections::HashMap::new();
+    if header.flags & FLAG_TASKS != 0 {
+        let task_count = c.u32()? as usize;
+        for _ in 0..task_count {
+            let key = lookup(&strings, c.u32()?, "task row")?;
+            let slug = lookup(&strings, c.u32()?, "task row")?;
+            let task = TaskKind::from_slug(slug)
+                .ok_or_else(|| PersistError::Format(format!("unknown task '{slug}'")))?;
+            tasks.insert(key.to_string(), task);
+        }
     }
     if !c.done() {
         return Err(PersistError::Format("trailing bytes in semantic section".into()));
     }
-    let _ = order;
 
     // Edge table.
     let mut c = Cursor::new(section_raw(bytes, header, SEC_EDGES));
@@ -942,7 +981,9 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
         seed,
         sem_entries,
         edge_rows,
-    );
+    )
+    .with_recorded_tasks(tasks)
+    .map_err(PersistError::Format)?;
 
     Ok(IndexSnapshot {
         version: SNAPSHOT_VERSION,
@@ -1220,6 +1261,93 @@ mod tests {
             "{issues:?}"
         );
         assert!(matches!(decode(&bytes), Err(PersistError::Format(_))));
+    }
+
+    /// Re-stamp a semantic section of `len` bytes (its CRC, its table
+    /// entry and the header CRC) so a forged payload reaches the parser.
+    fn restamp_semantic(bytes: &mut [u8], len: usize) {
+        let entry = 56 + SEC_SEMANTIC * 24;
+        let off = validate_header(bytes).unwrap().sections[SEC_SEMANTIC].0;
+        bytes[entry + 8..entry + 16].copy_from_slice(&(len as u64).to_le_bytes());
+        let crc = crc32(&bytes[off..off + len]);
+        bytes[entry + 16..entry + 20].copy_from_slice(&crc.to_le_bytes());
+        let hcrc = crc32(&bytes[..HEADER_LEN - 4]);
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&hcrc.to_le_bytes());
+    }
+
+    fn set_flags(bytes: &mut [u8], flags: u32) {
+        bytes[12..16].copy_from_slice(&flags.to_le_bytes());
+        let hcrc = crc32(&bytes[..HEADER_LEN - 4]);
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&hcrc.to_le_bytes());
+    }
+
+    fn indices_with_tasks() -> (SemanticIndex, ResourceIndex) {
+        let (mut sem, res) = sample_indices();
+        sem.set_task("alpha", Some(TaskKind::ImageRecognition));
+        sem.set_task("gamma", Some(TaskKind::QuestionAnswering));
+        (sem, res)
+    }
+
+    #[test]
+    fn recorded_tasks_round_trip_behind_their_flag() {
+        let (sem, res) = indices_with_tasks();
+        let bytes = encode(&sem, &res, None);
+        assert_ne!(validate_header(&bytes).unwrap().flags & FLAG_TASKS, 0);
+        let snap = decode(&bytes).unwrap();
+        assert_eq!(snap.semantic.tasks_audit(), sem.tasks_audit());
+        assert_eq!(
+            serde_json::to_string(&snap.semantic).unwrap(),
+            serde_json::to_string(&sem).unwrap(),
+            "JSON -> .somb -> JSON is byte-identical with tasks"
+        );
+        // No records: no flag and no payload, the pre-task layout.
+        let (plain, res) = sample_indices();
+        let bytes = encode(&plain, &res, None);
+        assert_eq!(validate_header(&bytes).unwrap().flags & FLAG_TASKS, 0);
+        assert!(decode(&bytes).unwrap().semantic.tasks_audit().is_empty());
+    }
+
+    #[test]
+    fn torn_task_payload_is_a_typed_error() {
+        let (sem, res) = indices_with_tasks();
+        let bytes = encode(&sem, &res, None);
+        let header = validate_header(&bytes).unwrap();
+        let (off, len) = header.sections[SEC_SEMANTIC];
+        // count + two (key, task) rows close the semantic section.
+        let payload = 4 + 2 * 8;
+        for cut in 1..=payload {
+            let mut torn = bytes.clone();
+            restamp_semantic(&mut torn, len - cut);
+            assert!(
+                matches!(decode(&torn), Err(PersistError::Format(_))),
+                "cut {cut}"
+            );
+        }
+        for at in off + len - payload..off + len {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                // Unstamped: the section CRC catches the flip.
+                assert!(matches!(decode(&flipped), Err(PersistError::Format(_))));
+                // Re-stamped: the parser sees the forged payload and
+                // either rejects it with a typed error or reads another
+                // valid record — it never panics.
+                restamp_semantic(&mut flipped, len);
+                match decode(&flipped) {
+                    Ok(_) | Err(PersistError::Format(_)) => {}
+                    Err(e) => panic!("byte {at} ^ {mask:#x}: untyped {e}"),
+                }
+            }
+        }
+        // Flag and payload must agree.
+        let mut no_flag = bytes.clone();
+        set_flags(&mut no_flag, header.flags & !FLAG_TASKS);
+        assert!(matches!(decode(&no_flag), Err(PersistError::Format(_))));
+        let (plain, res) = sample_indices();
+        let mut no_payload = encode(&plain, &res, None);
+        let flags = validate_header(&no_payload).unwrap().flags;
+        set_flags(&mut no_payload, flags | FLAG_TASKS);
+        assert!(matches!(decode(&no_payload), Err(PersistError::Format(_))));
     }
 
     #[test]

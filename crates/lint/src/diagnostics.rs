@@ -119,6 +119,8 @@ pub mod codes {
     pub const RESOURCE_DRIFT: &str = "SOM091";
     /// A transitive bound is inconsistent with its measured `Whole` legs.
     pub const TRANSITIVE_BOUND_VIOLATION: &str = "SOM092";
+    /// A task recorded in the semantic index disagrees with the store.
+    pub const TASK_DRIFT: &str = "SOM093";
 
     /// Every known code with a one-line meaning, in code order. This is
     /// the single source of truth for `--deny` validation and the README
@@ -173,6 +175,7 @@ pub mod codes {
         (FINGERPRINT_DRIFT, "indexed fingerprint disagrees with the store"),
         (RESOURCE_DRIFT, "resource vector disagrees with recomputation"),
         (TRANSITIVE_BOUND_VIOLATION, "transitive bound breaks its legs' triangle"),
+        (TASK_DRIFT, "recorded task disagrees with the stored model"),
     ];
 }
 
@@ -472,10 +475,11 @@ mod tests {
             codes::STORE_LISTING_FAILED,
             codes::SHAPE_INCOMPATIBLE,
             codes::TRANSITIVE_BOUND_VIOLATION,
+            codes::TASK_DRIFT,
         ] {
             assert!(seen.contains(known), "{known} missing from registry");
         }
-        assert_eq!(codes::ALL.len(), 48, "update the registry with new codes");
+        assert_eq!(codes::ALL.len(), 49, "update the registry with new codes");
     }
 
     #[test]

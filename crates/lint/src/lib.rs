@@ -41,7 +41,7 @@
 //!
 //! On top of the shallow families sits the *deep audit*: an
 //! abstract-interpretation [`dataflow`] engine feeding the
-//! [`passes::deep`] family (`SOM080`–`SOM092`) — shape-incompatible
+//! [`passes::deep`] family (`SOM080`–`SOM093`) — shape-incompatible
 //! edges, non-finite weights, unreachable subgraphs, saturated
 //! activations, constant outputs, rank-collapsed matmuls, declared-cost
 //! drift, and the repository ↔ index ↔ snapshot consistency join. The

@@ -1,4 +1,4 @@
-//! Deep analyses (`SOM080`–`SOM092`): the dataflow pass family and the
+//! Deep analyses (`SOM080`–`SOM093`): the dataflow pass family and the
 //! cross-artifact consistency join.
 //!
 //! Two passes live here. [`DeepModelPass`] runs the forward abstract
@@ -9,8 +9,9 @@
 //! drift. [`CrossArtifactPass`] joins the repository against the
 //! persisted indices: recomputed fingerprints must match the semantic
 //! index, recomputed resource vectors must match the resource index,
-//! and transitive equivalence bounds must stay inside the triangle
-//! interval spanned by their measured `Whole` legs.
+//! transitive equivalence bounds must stay inside the triangle
+//! interval spanned by their measured `Whole` legs, and every task the
+//! semantic index records must be the stored model's task.
 //!
 //! The per-model half is exposed as the free function
 //! [`deep_model_findings`] so the [`crate::audit::Auditor`] can fan it
@@ -21,7 +22,7 @@ use crate::dataflow::{self, ShapeFact};
 use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
 use sommelier_graph::cost::model_cost;
-use sommelier_graph::{Fingerprint, Model, Op};
+use sommelier_graph::{Fingerprint, Model, Op, TaskKind};
 use std::collections::BTreeMap;
 
 /// Sigmoid/tanh pre-activations beyond this magnitude are within 3e-4
@@ -421,7 +422,7 @@ fn check_declared_cost(model: &Model, target: &str, out: &mut Vec<Diagnostic>) {
 }
 
 /// The repository ↔ semantic index ↔ resource index consistency join
-/// (`SOM090`–`SOM092`).
+/// (`SOM090`–`SOM093`).
 pub struct CrossArtifactPass;
 
 impl Pass for CrossArtifactPass {
@@ -468,6 +469,33 @@ pub fn cross_artifact_findings(
                         ),
                     )
                     .with_help("the model changed after indexing; reindex the repository"),
+                );
+            }
+        }
+        // SOM093 — a recorded task must be the stored model's task.
+        // Opening an engine trusts the record to pick each task's default
+        // reference without loading the model, so a drifted record
+        // silently changes what `CORR TASK` queries compare against.
+        let stored: BTreeMap<&str, TaskKind> = ctx
+            .models
+            .iter()
+            .map(|(k, m)| (k.as_str(), m.task))
+            .collect();
+        for (key, recorded) in semantic.tasks_audit() {
+            let Some(&task) = stored.get(key) else {
+                continue; // dangling keys are SOM020 territory
+            };
+            if recorded != task {
+                out.push(
+                    Diagnostic::error(
+                        codes::TASK_DRIFT,
+                        format!("model '{key}'"),
+                        format!(
+                            "semantic index records task {recorded} but the stored model \
+                             is a {task} model"
+                        ),
+                    )
+                    .with_help("the model changed task after indexing; reindex the repository"),
                 );
             }
         }
@@ -771,5 +799,39 @@ mod tests {
                     && d.severity == Severity::Error),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn task_drift_is_caught_by_the_cross_pass() {
+        use sommelier_index::semantic::SemanticIndexConfig;
+        use sommelier_index::{PairAnalyzer, SemanticIndex};
+        struct NoPairs;
+        impl PairAnalyzer for NoPairs {
+            fn whole_diff(&self, _: &Model, _: &Model) -> Option<f64> {
+                None
+            }
+        }
+        let stored = mlp("m", 13);
+        let mut semantic = SemanticIndex::new(SemanticIndexConfig::default(), 1);
+        semantic.insert(&stored, &|_| None, &NoPairs);
+        let mut ctx = ctx_with(vec![("m", stored)]);
+        ctx.semantic = Some(semantic.clone());
+        assert!(
+            run(&CrossArtifactPass, &ctx).is_empty(),
+            "the task recorded at insert matches the store"
+        );
+
+        semantic.set_task("m", Some(TaskKind::SentimentAnalysis));
+        ctx.semantic = Some(semantic.clone());
+        let diags = run(&CrossArtifactPass, &ctx);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, codes::TASK_DRIFT);
+        assert_eq!(diags[0].severity, Severity::Error);
+        assert!(diags[0].message.contains("sentiment-analysis"), "{}", diags[0].message);
+
+        // A key with no recorded task has nothing to drift from.
+        semantic.set_task("m", None);
+        ctx.semantic = Some(semantic);
+        assert!(run(&CrossArtifactPass, &ctx).is_empty());
     }
 }

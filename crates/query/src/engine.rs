@@ -34,7 +34,7 @@ use sommelier_repo::{ModelRepository, RepoError};
 use sommelier_runtime::metrics::{counters, latency, qor_difference};
 use sommelier_runtime::{DeviceProfile, ExecSetting, ResourceProfile};
 use sommelier_tensor::{mix64, Prng, Tensor};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -779,10 +779,6 @@ pub struct Sommelier {
     semantic: SemanticIndex,
     resource: ResourceIndex,
     analyzer: EquivAnalyzer,
-    default_refs: HashMap<TaskKind, String>,
-    /// Task kind per indexed key — the metadata mutations need (default
-    /// reference re-derivation) without touching the repository.
-    tasks: HashMap<String, TaskKind>,
     config: SommelierConfig,
     /// Worker pool for index construction and query execution
     /// (`config.jobs` lanes; one lane ⇒ everything runs inline).
@@ -799,33 +795,37 @@ pub struct Sommelier {
     reader: SommelierReader,
 }
 
+/// The default reference per task: the smallest indexed key that
+/// records that task. Every published snapshot derives its defaults
+/// with this one rule, so a reopen agrees with the live engine. One
+/// pass over the sorted keys — no more than a mutation batch already
+/// spends walking the key table.
+fn default_refs_of(semantic: &SemanticIndex) -> HashMap<TaskKind, String> {
+    let mut refs = HashMap::new();
+    for key in semantic.keys() {
+        if let Some(task) = semantic.task_of(key) {
+            refs.entry(task).or_insert_with(|| key.clone());
+        }
+    }
+    refs
+}
+
 impl Sommelier {
     /// Connect to a repository. Models already present can be indexed with
     /// [`Sommelier::index_existing`].
     pub fn connect(repo: Arc<dyn ModelRepository>, config: SommelierConfig) -> Self {
         let semantic = SemanticIndex::new(config.index, config.seed);
         let resource = ResourceIndex::new(config.lsh, config.seed);
-        Self::assemble(
-            repo,
-            config,
-            semantic,
-            resource,
-            HashMap::new(),
-            HashMap::new(),
-            0,
-        )
+        Self::assemble(repo, config, semantic, resource, 0)
     }
 
     /// Build the engine around prepared indices at a given epoch,
     /// publishing them as the initial snapshot.
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         repo: Arc<dyn ModelRepository>,
         config: SommelierConfig,
         semantic: SemanticIndex,
         resource: ResourceIndex,
-        default_refs: HashMap<TaskKind, String>,
-        tasks: HashMap<String, TaskKind>,
         epoch: u64,
     ) -> Self {
         let pool = Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(
@@ -835,7 +835,7 @@ impl Sommelier {
         let published = Arc::new(RcuCell::new(Arc::new(EngineSnapshot {
             semantic: semantic.clone(),
             resource: resource.clone(),
-            default_refs: default_refs.clone(),
+            default_refs: default_refs_of(&semantic),
             epoch,
         })));
         let reader = SommelierReader {
@@ -855,8 +855,6 @@ impl Sommelier {
                 config.seed,
             )
             .with_cache(Arc::clone(&cache)),
-            default_refs,
-            tasks,
             repo,
             config,
             pool,
@@ -879,7 +877,7 @@ impl Sommelier {
         self.reader.published.publish(Arc::new(EngineSnapshot {
             semantic: self.semantic.clone(),
             resource: self.resource.clone(),
-            default_refs: self.default_refs.clone(),
+            default_refs: default_refs_of(&self.semantic),
             epoch: self.epoch,
         }));
     }
@@ -1044,10 +1042,10 @@ impl Sommelier {
 
     /// Apply an already-profiled batch to the builder-side indices:
     /// removals and insertions land in one semantic-index update (a
-    /// single analysis fan-out over the pool), default references are
-    /// maintained from indexed metadata with **zero repository reads**,
-    /// and nothing is published — callers publish exactly once per
-    /// logical mutation. Returns whether anything changed.
+    /// single analysis fan-out over the pool) that also records the
+    /// tasks default references derive from — **zero repository
+    /// reads** — and nothing is published: callers publish exactly once
+    /// per logical mutation. Returns whether anything changed.
     fn apply_indexed(
         &mut self,
         removes: &[String],
@@ -1068,46 +1066,11 @@ impl Sommelier {
             .apply_batch_with(&self.pool, removes, models, &resolve, &self.analyzer);
         for key in removes {
             self.resource.remove(key);
-            self.tasks.remove(key);
-        }
-        // Default references orphaned by the removals are re-derived
-        // from the engine's own task map (lexicographically smallest
-        // surviving key per task — the same choice a repository sweep
-        // used to make, without reloading a single model).
-        let broken: Vec<TaskKind> = self
-            .default_refs
-            .iter()
-            .filter(|(_, key)| !self.tasks.contains_key(*key))
-            .map(|(task, _)| *task)
-            .collect();
-        if !broken.is_empty() {
-            self.default_refs
-                .retain(|_, key| self.tasks.contains_key(key));
-            let mut survivors: Vec<&String> = self.tasks.keys().collect();
-            survivors.sort();
-            for key in survivors {
-                let task = self.tasks[key];
-                if broken.contains(&task) {
-                    self.default_refs
-                        .entry(task)
-                        .or_insert_with(|| key.clone());
-                }
-            }
         }
         for (m, p) in models.iter().zip(profiles) {
             self.resource.insert(&m.name, *p);
-            self.tasks.insert(m.name.clone(), m.task);
-            self.default_refs
-                .entry(m.task)
-                .or_insert_with(|| m.name.clone());
         }
         true
-    }
-
-    /// Override the default reference model for a task.
-    pub fn set_default_reference(&mut self, task: TaskKind, key: impl Into<String>) {
-        self.default_refs.insert(task, key.into());
-        self.publish_snapshot();
     }
 
     /// Execute a textual query (paper Figure 7 syntax) against the
@@ -1186,8 +1149,9 @@ impl Sommelier {
     /// registration analysis does not have to be repeated after a
     /// restart. The snapshot format (JSON or binary) is sniffed from the
     /// file contents. Default reference models are re-derived from the
-    /// indexed order; the publication epoch resumes from the snapshot's
-    /// stats header (pre-epoch snapshots resume from 0).
+    /// tasks the snapshot records (see `assemble_from_snapshot`); the
+    /// publication epoch resumes from the snapshot's stats header
+    /// (pre-epoch snapshots resume from 0).
     pub fn connect_with_indices(
         repo: Arc<dyn ModelRepository>,
         config: SommelierConfig,
@@ -1213,16 +1177,31 @@ impl Sommelier {
             .and_then(|s| s.epoch)
             .map(|e| e.max(0) as u64)
             .unwrap_or(0);
-        let (semantic, resource) = (snapshot.semantic, snapshot.resource);
-        let mut default_refs = HashMap::new();
-        let mut tasks = HashMap::new();
-        for key in semantic.keys() {
-            if let Ok(model) = repo.load(key) {
-                default_refs.entry(model.task).or_insert_with(|| key.clone());
-                tasks.insert(key.clone(), model.task);
-            }
+        let (mut semantic, resource) = (snapshot.semantic, snapshot.resource);
+        // Reconcile the recorded tasks with the repository: a key it no
+        // longer lists loses its task (and so cannot be a default
+        // reference), and only a listed key with no recorded task — an
+        // older snapshot, or an index assembled from parts — loads its
+        // model. A snapshot that records every task opens without
+        // decoding a single model.
+        let listed: HashSet<String> = repo.keys().into_iter().collect();
+        let changes: Vec<(String, Option<TaskKind>)> = semantic
+            .keys()
+            .iter()
+            .filter_map(|key| {
+                let recorded = semantic.task_of(key);
+                let task = if listed.contains(key) {
+                    recorded.or_else(|| repo.load(key).ok().map(|m| m.task))
+                } else {
+                    None
+                };
+                (task != recorded).then(|| (key.clone(), task))
+            })
+            .collect();
+        for (key, task) in changes {
+            semantic.set_task(&key, task);
         }
-        Self::assemble(repo, config, semantic, resource, default_refs, tasks, epoch)
+        Self::assemble(repo, config, semantic, resource, epoch)
     }
 
     /// Connect restoring persisted indices, degrading gracefully when
@@ -2099,5 +2078,234 @@ mod tests {
         assert_eq!(d, 0.0);
         let d2 = engine.measure_diff(&names[0], &names[3]).unwrap();
         assert!(d2 > 0.0);
+    }
+
+    /// A small model of the given task: cheap to analyze, so the
+    /// default-reference tests can churn freely.
+    fn tiny(name: &str, task: TaskKind, seed: u64) -> Model {
+        let mut rng = Prng::seed_from_u64(seed);
+        sommelier_graph::ModelBuilder::new(name, task, sommelier_tensor::Shape::vector(4))
+            .dense(3, &mut rng)
+            .softmax()
+            .build()
+            .unwrap()
+    }
+
+    fn counting_repo(models: &[Model]) -> Arc<CountingRepository> {
+        let inner = InMemoryRepository::new();
+        inner.publish_all(models).unwrap();
+        Arc::new(CountingRepository {
+            inner,
+            loads: std::sync::atomic::AtomicUsize::new(0),
+        })
+    }
+
+    fn tiny_config() -> SommelierConfig {
+        let mut cfg = SommelierConfig {
+            validation_rows: 32,
+            ..SommelierConfig::default()
+        };
+        cfg.index.sample_size = 16;
+        cfg
+    }
+
+    fn defaults(engine: &Sommelier) -> std::collections::BTreeMap<TaskKind, String> {
+        engine
+            .reader()
+            .snapshot()
+            .default_refs
+            .clone()
+            .into_iter()
+            .collect()
+    }
+
+    /// Write `semantic` + `resource` as a snapshot in each format, open
+    /// each against `repo`, and return the opened engines with the
+    /// number of model loads each open made.
+    fn reopen_each_format(
+        semantic: &SemanticIndex,
+        resource: &ResourceIndex,
+        repo: &Arc<CountingRepository>,
+    ) -> Vec<(Sommelier, usize)> {
+        let dir = std::env::temp_dir().join(format!(
+            "somm-tasks-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut out = Vec::new();
+        for name in ["snap.json", "snap.somb"] {
+            let path = dir.join(name);
+            match sommelier_index::SnapshotFormat::for_path(&path) {
+                sommelier_index::SnapshotFormat::Binary => {
+                    sommelier_index::persist::save_binary(semantic, resource, 1, &path)
+                }
+                sommelier_index::SnapshotFormat::Json => {
+                    sommelier_index::persist::save(semantic, resource, 1, &path)
+                }
+            }
+            .unwrap();
+            let before = repo.loads();
+            let engine = Sommelier::connect_with_indices(
+                Arc::clone(repo) as Arc<dyn ModelRepository>,
+                tiny_config(),
+                &path,
+            )
+            .unwrap();
+            out.push((engine, repo.loads() - before));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        out
+    }
+
+    #[test]
+    fn default_reference_is_the_smallest_key_live_and_reopened() {
+        let ir = TaskKind::ImageRecognition;
+        let sa = TaskKind::SentimentAnalysis;
+        let mut engine = Sommelier::connect(Arc::new(InMemoryRepository::new()), tiny_config());
+        let check = |engine: &Sommelier, expected: &[(TaskKind, &str)]| {
+            let live = defaults(engine);
+            let want: std::collections::BTreeMap<TaskKind, String> =
+                expected.iter().map(|(t, k)| (*t, k.to_string())).collect();
+            assert_eq!(live, want, "live defaults");
+            let repo = counting_repo(
+                &engine
+                    .repo
+                    .keys()
+                    .iter()
+                    .map(|k| engine.repo.load(k).unwrap())
+                    .collect::<Vec<_>>(),
+            );
+            for (reopened, loads) in
+                reopen_each_format(engine.semantic_index(), engine.resource_index(), &repo)
+            {
+                assert_eq!(
+                    defaults(&reopened),
+                    live,
+                    "reopen disagrees with the live engine"
+                );
+                assert_eq!(loads, 0, "every task is recorded: open loads no model");
+            }
+        };
+        // Registered out of key order: a later key that sorts first
+        // takes over its task's default.
+        engine.register(&tiny("v-b", ir, 1)).unwrap();
+        engine.register(&tiny("s-b", sa, 2)).unwrap();
+        check(&engine, &[(ir, "v-b"), (sa, "s-b")]);
+        engine.register(&tiny("v-a", ir, 3)).unwrap();
+        engine.register(&tiny("s-c", sa, 4)).unwrap();
+        check(&engine, &[(ir, "v-a"), (sa, "s-b")]);
+        // Removing a default falls back to the smallest survivor.
+        assert!(engine.unregister("v-a"));
+        assert!(engine.unregister("s-b"));
+        check(&engine, &[(ir, "v-b"), (sa, "s-c")]);
+        // Replacing the default under another task moves it across.
+        engine.reregister(&tiny("v-b", sa, 5)).unwrap();
+        check(&engine, &[(sa, "s-c")]);
+        assert!(engine.unregister("s-c"));
+        check(&engine, &[(sa, "v-b")]);
+        assert!(engine.unregister("v-b"));
+        check(&engine, &[]);
+    }
+
+    #[test]
+    fn reopen_with_recorded_tasks_makes_no_model_loads() {
+        let models: Vec<Model> = ["m-c", "m-a", "m-b"]
+            .iter()
+            .enumerate()
+            .map(|(i, k)| tiny(k, TaskKind::ImageRecognition, 10 + i as u64))
+            .collect();
+        let repo = counting_repo(&models);
+        let mut engine =
+            Sommelier::connect(Arc::clone(&repo) as Arc<dyn ModelRepository>, tiny_config());
+        engine.index_existing().unwrap();
+        for (reopened, loads) in
+            reopen_each_format(engine.semantic_index(), engine.resource_index(), &repo)
+        {
+            assert_eq!(loads, 0);
+            assert_eq!(defaults(&reopened), defaults(&engine));
+            let q = "SELECT models 5 CORR TASK image-recognition WITHIN 1.0";
+            let keys = |e: &Sommelier| -> Vec<String> {
+                e.query(q).unwrap().into_iter().map(|r| r.key).collect()
+            };
+            assert_eq!(keys(&reopened), keys(&engine), "first answers match");
+        }
+    }
+
+    #[test]
+    fn snapshot_without_tasks_loads_only_unrecorded_keys() {
+        let models = vec![
+            tiny("k-d", TaskKind::ImageRecognition, 20),
+            tiny("k-b", TaskKind::SentimentAnalysis, 21),
+            tiny("k-c", TaskKind::ImageRecognition, 22),
+            tiny("k-a", TaskKind::SentimentAnalysis, 23),
+        ];
+        let repo = counting_repo(&models);
+        let mut engine =
+            Sommelier::connect(Arc::clone(&repo) as Arc<dyn ModelRepository>, tiny_config());
+        engine.index_existing().unwrap();
+        let live = defaults(&engine);
+
+        // Assembled from parts (the shape of a snapshot written before
+        // tasks were recorded): every listed key loads once.
+        let semantic = engine.semantic_index();
+        let parts = SemanticIndex::from_parts(
+            semantic.config(),
+            semantic.seed(),
+            semantic
+                .entries_audit()
+                .into_iter()
+                .map(|(fp, key, cands)| (fp, key.to_string(), cands.to_vec()))
+                .collect(),
+            semantic.keys().to_vec(),
+        );
+        assert!(parts.tasks_audit().is_empty());
+        for (reopened, loads) in reopen_each_format(&parts, engine.resource_index(), &repo) {
+            assert_eq!(loads, models.len());
+            assert_eq!(defaults(&reopened), live);
+            assert_eq!(
+                reopened.semantic_index().tasks_audit(),
+                semantic.tasks_audit(),
+                "open fills in the tasks it had to load"
+            );
+        }
+
+        // One key without a record: exactly that key loads.
+        let mut partial = semantic.clone();
+        partial.set_task("k-c", None);
+        for (reopened, loads) in reopen_each_format(&partial, engine.resource_index(), &repo) {
+            assert_eq!(loads, 1);
+            assert_eq!(defaults(&reopened), live);
+        }
+    }
+
+    #[test]
+    fn keys_the_repository_no_longer_lists_are_not_defaults() {
+        let models = vec![
+            tiny("u-a", TaskKind::ImageRecognition, 30),
+            tiny("u-b", TaskKind::ImageRecognition, 31),
+        ];
+        let mut engine = Sommelier::connect(Arc::new(InMemoryRepository::new()), tiny_config());
+        for m in &models {
+            engine.register(m).unwrap();
+        }
+        // Reopen against a repository that lost "u-a".
+        let repo = counting_repo(&models[1..]);
+        for (reopened, loads) in
+            reopen_each_format(engine.semantic_index(), engine.resource_index(), &repo)
+        {
+            assert_eq!(loads, 0);
+            assert_eq!(
+                defaults(&reopened)
+                    .get(&TaskKind::ImageRecognition)
+                    .map(String::as_str),
+                Some("u-b")
+            );
+            assert_eq!(reopened.semantic_index().task_of("u-a"), None);
+            assert!(
+                reopened.semantic_index().contains("u-a"),
+                "the key stays indexed"
+            );
+        }
     }
 }
