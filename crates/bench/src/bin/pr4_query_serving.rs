@@ -36,8 +36,11 @@ use sommelier_graph::{Model, TaskKind};
 use sommelier_query::{Sommelier, SommelierConfig};
 use sommelier_repo::{InMemoryRepository, ModelRepository};
 use sommelier_runtime::execute;
-use sommelier_runtime::metrics::{latency, top1_accuracy};
-use sommelier_serving::{simulate, simulate_with, ClusterConfig, EngineSwitcher, ModelChoice, Policy, Workload};
+use sommelier_runtime::metrics::top1_accuracy;
+use sommelier_serving::{
+    simulate, simulate_with, ClusterConfig, EngineSwitcher, LatencyStats, ModelChoice, Policy,
+    Workload,
+};
 use sommelier_tensor::{Prng, Tensor};
 use sommelier_zoo::families::Family;
 use sommelier_zoo::series::build_series;
@@ -164,7 +167,8 @@ fn throughput_run(
     sommelier_runtime::metrics::reset();
     let (items, seconds) = timed(|| reader.query_batch(workload));
     assert!(items.iter().all(|i| i.results.is_ok()), "queries succeed");
-    let q = latency::quantiles("query.batch.latency_ms").expect("batch recorded");
+    let latencies: Vec<f64> = items.iter().map(|i| i.latency_ms).collect();
+    let q = LatencyStats::from(&latencies);
     let stats = reader.plan_cache_stats();
     let rendered = render_batch(&items);
     (

@@ -29,8 +29,8 @@ use sommelier_index::semantic::{CandidateKind, CandidateRecord, SemanticIndexCon
 use sommelier_index::{persist, ResourceIndex, SemanticIndex};
 use sommelier_query::{Sommelier, SommelierConfig};
 use sommelier_repo::{InMemoryRepository, ModelRepository};
-use sommelier_runtime::metrics::latency;
 use sommelier_runtime::ResourceProfile;
+use sommelier_serving::LatencyStats;
 use sommelier_tensor::Prng;
 use sommelier_zoo::families::Family;
 use sommelier_zoo::series::build_series;
@@ -237,7 +237,8 @@ fn query_run(
     sommelier_runtime::metrics::reset();
     let (items, seconds) = timed(|| reader.query_batch(workload));
     assert!(items.iter().all(|i| i.results.is_ok()), "queries succeed");
-    let q = latency::quantiles("query.batch.latency_ms").expect("batch recorded");
+    let latencies: Vec<f64> = items.iter().map(|i| i.latency_ms).collect();
+    let q = LatencyStats::from(&latencies);
     let mut rendered = String::new();
     for item in &items {
         for r in item.results.as_ref().unwrap() {

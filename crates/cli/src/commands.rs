@@ -2,28 +2,19 @@
 
 use sommelier_equiv::explain::explain;
 use sommelier_equiv::whole::EquivConfig;
-use sommelier_fault::storage::{is_quarantine_name, is_temp_name};
 use sommelier_fault::{StdStorage, Storage};
 use sommelier_graph::{serde_model, TaskKind};
-use sommelier_lint::DenySpec;
+use sommelier_index::persist::{index_path, INDEX_FILE, INDEX_FILE_BIN};
+use sommelier_lint::passes::store::StoreHygienePass;
+use sommelier_lint::{codes, DenySpec};
 use sommelier_query::{SnapshotRecovery, Sommelier, SommelierConfig};
-use sommelier_repo::{
-    chunk_hash, decode_key, dedup_store, is_chunk_name, Manifest, ModelRepository,
-    OnDiskRepository, CHUNK_DIR, CHUNK_SUFFIX, MANIFEST_SUFFIX,
-};
-use std::collections::BTreeSet;
+use sommelier_repo::{dedup_store, ModelRepository, OnDiskRepository};
 use sommelier_runtime::ResourceProfile;
 use sommelier_tensor::{Prng, Tensor};
 use sommelier_zoo::series::build_series;
 use sommelier_zoo::families::Family;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// File name (inside the repository directory) of the persisted indices.
-const INDEX_FILE: &str = "sommelier.index.json";
-
-/// Binary-format sibling of [`INDEX_FILE`] (`sommelier compact` output).
-const INDEX_FILE_BIN: &str = "sommelier.index.somb";
 
 type CmdResult = Result<(), String>;
 
@@ -80,18 +71,6 @@ fn open_repo(dir: &Path) -> Result<Arc<OnDiskRepository>, String> {
         ));
     }
     Ok(Arc::new(OnDiskRepository::open(dir).map_err(fail)?))
-}
-
-/// The index snapshot path a repository serves from: the binary
-/// snapshot when one exists (a compacted repository), the JSON file
-/// otherwise. New repositories index to JSON until compacted.
-fn index_path(dir: &Path) -> PathBuf {
-    let bin = dir.join(INDEX_FILE_BIN);
-    if bin.exists() {
-        bin
-    } else {
-        dir.join(INDEX_FILE)
-    }
 }
 
 fn engine_config(flags: &[(&str, &str)]) -> Result<SommelierConfig, String> {
@@ -746,18 +725,18 @@ pub fn audit(args: &[String]) -> CmdResult {
 
 /// `sommelier fsck <dir> [--repair] [--prune]`
 ///
-/// Walks the store directory and checks every artifact the durability
-/// layer manages: model and manifest files must carry canonical key
-/// encodings and parse; manifests must reference only chunks that
-/// exist; chunks must hash-verify and be referenced by some manifest;
-/// the index snapshot must parse; quarantined (`*.corrupt-*`) and
-/// orphaned temp (`*.tmp-*`) files are reported. Without flags the
+/// Repairs the store from lint's store check
+/// ([`StoreHygienePass::findings`]): each finding names the file at
+/// fault, and fsck applies one action per lint code. Without flags the
 /// command only reports, failing (for scripting) if anything is found.
-/// `--repair` deletes orphaned temps and orphaned chunks, quarantines
-/// unparseable or dangling-reference artifacts, and rebuilds +
-/// re-persists the index from the repository. `--prune` deletes
-/// quarantined files; it works on its own — without `--repair` it
-/// prunes quarantines left by earlier runs but fixes nothing else.
+/// `--repair` deletes orphaned temps and orphaned or stray chunk files,
+/// quarantines unparseable model files, corrupt chunks and manifests
+/// with dangling chunk references, and rebuilds + re-persists an
+/// unreadable index. `--prune` deletes quarantined files, including
+/// those quarantined in the same run; it works on its own — without
+/// `--repair` it prunes quarantines left by earlier runs but fixes
+/// nothing else. Non-canonical names, listing failures and broken delta
+/// bases are report-only.
 pub fn fsck(args: &[String]) -> CmdResult {
     let (positional, flags) = split_flags(args)?;
     let dir = repo_dir(&positional)?;
@@ -770,225 +749,73 @@ pub fn fsck(args: &[String]) -> CmdResult {
             other => return Err(format!("unknown flag --{other}")),
         }
     }
-    if !dir.exists() {
-        return Err(format!("repository '{}' does not exist", dir.display()));
-    }
+    let ctx = sommelier_lint::LintContext::from_repo_dir(&dir)?;
     let storage = StdStorage;
-    let names = storage.list(&dir).map_err(fail)?;
+    let file_name = |p: &Path| {
+        p.file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or("?")
+            .to_string()
+    };
+    // A file quarantined in this run postdates the listing lint saw;
+    // honor --prune for it at once.
+    let prune_fresh = |q: &Path| -> CmdResult {
+        if prune {
+            storage.remove(q).map_err(fail)?;
+            println!("pruned quarantined file {}", file_name(q));
+        }
+        Ok(())
+    };
+    let remove = |file: &str, what: &str| -> CmdResult {
+        storage.remove(&dir.join(file)).map_err(fail)?;
+        println!("{what} {file}");
+        Ok(())
+    };
     let mut findings = 0usize;
     let mut fixed = 0usize;
-    let mut index_broken = false;
-    let mut manifests: Vec<(String, Manifest)> = Vec::new();
-    for name in &names {
-        let path = dir.join(name);
-        if is_quarantine_name(name) {
-            findings += 1;
-            if prune {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("pruned quarantined file {name}");
-            } else {
-                println!("quarantined file: {name} (remove with --prune)");
+    let mut rebuild = false;
+    for finding in StoreHygienePass::findings(&ctx) {
+        let fixes = match (finding.diagnostic.code.as_str(), finding.file.as_deref()) {
+            // The model parses but a chunk or delta base does not: the
+            // SOM074, SOM077 or SOM076 finding carries the action.
+            (codes::MODEL_UNREADABLE, None) => continue,
+            (codes::QUARANTINED_FILE, Some(file)) if prune => {
+                remove(file, "pruned quarantined file")?;
+                true
             }
-        } else if is_temp_name(name) {
-            findings += 1;
-            if repair {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("removed orphaned temp {name}");
-            } else {
-                println!("orphaned temp file: {name} (remove with --repair)");
+            (codes::ORPHANED_TEMP, Some(file)) if repair => {
+                remove(file, "removed orphaned temp")?;
+                true
             }
-        } else if let Some(stem) = name.strip_suffix(MANIFEST_SUFFIX) {
-            if decode_key(stem).is_none() {
-                findings += 1;
-                println!("non-canonical manifest file name: {name} (republish via the API)");
-                continue;
+            (codes::ORPHANED_CHUNK, Some(file)) if repair => {
+                remove(file, "removed orphaned chunk file")?;
+                true
             }
-            let parsed = storage
-                .read(&path)
-                .map_err(fail)
-                .and_then(|bytes| String::from_utf8(bytes).map_err(fail))
-                .and_then(|text| Manifest::from_json(&text));
-            match parsed {
-                Ok(manifest) => manifests.push((name.clone(), manifest)),
-                Err(e) => {
-                    findings += 1;
-                    if repair {
-                        let q = sommelier_fault::quarantine(&storage, &path).map_err(fail)?;
-                        fixed += 1;
-                        println!(
-                            "quarantined unreadable manifest {name} → {}",
-                            q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                        );
-                        if prune {
-                            storage.remove(&q).map_err(fail)?;
-                            println!(
-                                "pruned quarantined file {}",
-                                q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                            );
-                        }
-                    } else {
-                        println!("unreadable manifest file: {name}: {e}");
-                    }
-                }
+            (codes::MODEL_UNREADABLE | codes::DANGLING_CHUNK | codes::CORRUPT_CHUNK, Some(file))
+                if repair =>
+            {
+                let q = sommelier_fault::quarantine(&storage, &dir.join(file)).map_err(fail)?;
+                println!("quarantined {file} → {}", file_name(&q));
+                prune_fresh(&q)?;
+                true
             }
-        } else if let Some(stem) = name.strip_suffix(".model.json") {
-            if decode_key(stem).is_none() {
-                findings += 1;
-                println!("non-canonical model file name: {name} (republish via the API)");
-                continue;
+            // Rebuilt last, once every unreadable model is out of the way.
+            (codes::SNAPSHOT_UNREADABLE, _) if repair => {
+                rebuild = true;
+                true
             }
-            if let Err(e) = serde_model::load(&path) {
-                findings += 1;
-                if repair {
-                    let q = sommelier_fault::quarantine(&storage, &path).map_err(fail)?;
-                    fixed += 1;
-                    println!(
-                        "quarantined unreadable model {name} → {}",
-                        q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                    );
-                    // The fresh quarantine postdates the listing; honor
-                    // --prune in the same invocation.
-                    if prune {
-                        storage.remove(&q).map_err(fail)?;
-                        println!(
-                            "pruned quarantined file {}",
-                            q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                        );
-                    }
-                } else {
-                    println!("unreadable model file: {name}: {e}");
-                }
-            }
-        } else if name == INDEX_FILE || name == INDEX_FILE_BIN {
-            // Either encoding: the reader sniffs JSON vs binary.
-            if let Err(e) = sommelier_index::persist::read_snapshot(&path) {
-                findings += 1;
-                index_broken = true;
-                if !repair {
-                    println!("unreadable index snapshot: {name}: {e}");
-                }
-            }
-        }
-    }
-    // Chunk hygiene: every chunk must hash-verify and be referenced by
-    // some manifest; every manifest reference must resolve to a chunk.
-    let chunk_dir = dir.join(CHUNK_DIR);
-    let chunk_names = storage.list(&chunk_dir).unwrap_or_default();
-    let mut present: BTreeSet<String> = BTreeSet::new();
-    for cname in &chunk_names {
-        let path = chunk_dir.join(cname);
-        if is_quarantine_name(cname) {
-            findings += 1;
-            if prune {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("pruned quarantined chunk {cname}");
-            } else {
-                println!("quarantined chunk: {cname} (remove with --prune)");
-            }
-        } else if is_temp_name(cname) {
-            findings += 1;
-            if repair {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("removed orphaned temp chunk {cname}");
-            } else {
-                println!("orphaned temp chunk: {cname} (remove with --repair)");
-            }
-        } else if !is_chunk_name(cname) {
-            findings += 1;
-            if repair {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("removed stray file in chunk dir: {cname}");
-            } else {
-                println!("stray file in chunk dir: {cname} (remove with --repair)");
-            }
-        } else {
-            let stem = cname.strip_suffix(CHUNK_SUFFIX).unwrap_or(cname);
-            let bytes = storage.read(&path).map_err(fail)?;
-            if chunk_hash(&bytes) == stem {
-                present.insert(stem.to_string());
-            } else {
-                // Corrupt chunks never count as present: manifests that
-                // reference one are unreconstructable and show up as
-                // dangling below.
-                findings += 1;
-                if repair {
-                    let q = sommelier_fault::quarantine(&storage, &path).map_err(fail)?;
-                    fixed += 1;
-                    println!(
-                        "quarantined corrupt chunk {cname} → {}",
-                        q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                    );
-                    if prune {
-                        storage.remove(&q).map_err(fail)?;
-                        println!(
-                            "pruned quarantined file {}",
-                            q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                        );
-                    }
-                } else {
-                    println!("corrupt chunk: {cname} (content does not match its hash)");
-                }
-            }
-        }
-    }
-    let referenced: BTreeSet<&str> = manifests
-        .iter()
-        .flat_map(|(_, m)| m.chunk_refs())
-        .collect();
-    for hash in &present {
-        if !referenced.contains(hash.as_str()) {
-            findings += 1;
-            let cname = format!("{hash}{CHUNK_SUFFIX}");
-            if repair {
-                storage.remove(&chunk_dir.join(&cname)).map_err(fail)?;
-                fixed += 1;
-                println!("removed orphaned chunk {cname}");
-            } else {
-                println!("orphaned chunk: {cname} (referenced by no manifest; remove with --repair)");
-            }
-        }
-    }
-    for (name, manifest) in &manifests {
-        let missing: Vec<&str> = manifest
-            .chunk_refs()
-            .into_iter()
-            .filter(|h| !present.contains(*h))
-            .collect();
-        if missing.is_empty() {
-            continue;
-        }
+            _ => false,
+        };
         findings += 1;
-        if repair {
-            let q = sommelier_fault::quarantine(&storage, &dir.join(name)).map_err(fail)?;
+        if fixes {
             fixed += 1;
-            println!(
-                "quarantined manifest {name} with {} dangling chunk ref(s) → {}",
-                missing.len(),
-                q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-            );
-            if prune {
-                storage.remove(&q).map_err(fail)?;
-                println!(
-                    "pruned quarantined file {}",
-                    q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                );
-            }
         } else {
-            println!(
-                "dangling chunk reference(s) in manifest {name}: {} missing (first: {})",
-                missing.len(),
-                missing[0]
-            );
+            println!("{}", finding.diagnostic);
         }
     }
     // Repairing an unreadable snapshot = the engine's own recovery path:
     // quarantine the torn file, rebuild from the repository, re-persist.
-    if repair && index_broken {
+    if rebuild {
         let repo = open_repo(&dir)?;
         let (_, outcome) = Sommelier::connect_or_recover(
             repo as Arc<dyn ModelRepository>,
@@ -996,28 +823,23 @@ pub fn fsck(args: &[String]) -> CmdResult {
             &index_path(&dir),
         )
         .map_err(fail)?;
-        fixed += 1;
         match outcome {
             SnapshotRecovery::RebuiltQuarantined(q) => {
                 println!(
                     "quarantined unreadable index snapshot → {}; rebuilt and re-saved",
-                    q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
+                    file_name(&q)
                 );
-                // The quarantine file postdates our directory listing, so
-                // the prune loop above never saw it.
-                if prune {
-                    storage.remove(&q).map_err(fail)?;
-                    println!(
-                        "pruned quarantined file {}",
-                        q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                    );
-                }
+                prune_fresh(&q)?;
             }
             _ => println!("rebuilt and re-saved the index snapshot"),
         }
     }
     if findings == 0 {
-        println!("{}: clean ({} file(s) checked)", dir.display(), names.len());
+        println!(
+            "{}: clean ({} file(s) checked)",
+            dir.display(),
+            ctx.store_files.len() + ctx.chunk_files.len()
+        );
         return Ok(());
     }
     println!("{}: {findings} finding(s), {fixed} fixed", dir.display());

@@ -71,10 +71,12 @@ COMMANDS:
                                         and memoized by fingerprint;
                                         --baseline subtracts accepted
                                         findings from a prior JSON run
-    fsck   <dir> [--repair] [--prune]   check store integrity: torn or
-                                        mis-named files, orphaned temps,
-                                        quarantined artifacts, dangling
-                                        or orphaned tensor chunks;
+    fsck   <dir> [--repair] [--prune]   report and repair lint's store
+                                        findings (SOM007, SOM027, SOM07x):
+                                        torn or mis-named files, orphaned
+                                        temps, quarantined artifacts,
+                                        dangling, orphaned or corrupt
+                                        chunks, broken delta bases;
                                         --repair cleans temps, quarantines
                                         corrupt files, deletes orphaned
                                         chunks, and rebuilds the index;

@@ -1,6 +1,6 @@
 //! End-to-end tests driving the `sommelier` binary as a subprocess.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn bin() -> &'static str {
@@ -472,4 +472,138 @@ fn query_json_reports_aggregate_latency_quantiles() {
         assert!(json.contains(key), "json missing {key}: {json}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Copy a store directory, its `chunks/` namespace included.
+fn copy_store(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        let to = dst.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_store(&entry.path(), &to);
+        } else {
+            std::fs::copy(entry.path(), to).unwrap();
+        }
+    }
+}
+
+/// The first file in `dir` (by name) ending in `suffix`.
+fn first_file(dir: &Path, suffix: &str) -> PathBuf {
+    let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_string_lossy().ends_with(suffix))
+        .collect();
+    names.sort();
+    names.into_iter().next().expect("a matching file")
+}
+
+/// The `SOMxxx` codes a lint or fsck run printed.
+fn printed_codes(out: &Output) -> Vec<String> {
+    stdout(out)
+        .split('[')
+        .skip(1)
+        .filter_map(|s| s.split_once(']'))
+        .map(|(code, _)| code.to_string())
+        .filter(|c| c.starts_with("SOM"))
+        .collect()
+}
+
+/// Every store defect fails both `lint --deny warn` and plain `fsck`,
+/// and two `fsck --repair --prune` runs leave only the findings fsck
+/// cannot repair (non-canonical names, listing failures, broken delta
+/// bases).
+#[test]
+fn lint_and_fsck_agree_on_every_store_defect() {
+    type Damage = fn(&Path);
+    let cases: &[(&str, bool, &str, Damage)] = &[
+        ("quarantined file", false, "SOM070", |d| {
+            std::fs::write(d.join("sommelier.index.json.corrupt-1700000000"), "x").unwrap()
+        }),
+        ("orphaned temp", false, "SOM071", |d| {
+            std::fs::write(d.join("stray.model.json.tmp-1-0"), "partial").unwrap()
+        }),
+        ("stray file in chunks/", true, "SOM075", |d| {
+            std::fs::write(d.join("chunks").join("notes.txt"), "junk").unwrap()
+        }),
+        ("orphaned chunk", true, "SOM075", |d| {
+            let bytes = b"a chunk no manifest references";
+            let name = format!("{}.chunk", sommelier_repo::chunk_hash(bytes));
+            std::fs::write(d.join("chunks").join(name), bytes).unwrap()
+        }),
+        ("corrupt chunk", true, "SOM077", |d| {
+            let chunk = first_file(&d.join("chunks"), ".chunk");
+            let mut bytes = std::fs::read(&chunk).unwrap();
+            bytes[0] ^= 0xff;
+            std::fs::write(chunk, bytes).unwrap()
+        }),
+        ("deleted chunk", true, "SOM074", |d| {
+            std::fs::remove_file(first_file(&d.join("chunks"), ".chunk")).unwrap()
+        }),
+        ("unparseable manifest", true, "SOM007", |d| {
+            std::fs::write(first_file(d, ".manifest.json"), "{ torn").unwrap()
+        }),
+        ("unreadable flat model", false, "SOM007", |d| {
+            std::fs::write(first_file(d, ".model.json"), "{ torn").unwrap()
+        }),
+        ("broken delta base", true, "SOM076", |d| {
+            let manifest = first_file(d, ".manifest.json");
+            let json = std::fs::read_to_string(&manifest).unwrap();
+            assert!(json.contains("\"base\":null"), "full manifest expected");
+            let ghost = json.replacen("\"base\":null", "\"base\":\"ghost\"", 1);
+            std::fs::write(manifest, ghost).unwrap()
+        }),
+        ("torn snapshot", false, "SOM027", |d| {
+            let index = d.join("sommelier.index.json");
+            let whole = std::fs::read_to_string(&index).unwrap();
+            std::fs::write(&index, &whole[..whole.len() / 2]).unwrap()
+        }),
+        ("non-canonical name", false, "SOM072", |d| {
+            std::fs::copy(first_file(d, ".model.json"), d.join("a%2fb.model.json")).unwrap();
+        }),
+    ];
+    const REPORT_ONLY: [&str; 3] = ["SOM072", "SOM073", "SOM076"];
+
+    // Two lint-clean templates: a flat store and a chunked one.
+    let root = temp_repo("parity");
+    let flat = root.join("flat");
+    let chunked = root.join("chunked");
+    let f = flat.to_str().unwrap();
+    assert!(run(&["init", f]).status.success());
+    assert!(run(&["seed", f, "--series", "1", "--seed", "7"]).status.success());
+    copy_store(&flat, &chunked);
+    let c = chunked.to_str().unwrap();
+    assert!(run(&["dedup", c]).status.success());
+    for template in [f, c] {
+        assert!(run(&["index", template, "--sample", "16", "--no-segments"]).status.success());
+        let out = run(&["lint", template, "--deny", "warn"]);
+        assert!(out.status.success(), "template must lint clean: {}", stdout(&out));
+    }
+
+    for (i, (case, on_chunked, code, damage)) in cases.iter().enumerate() {
+        let dir = root.join(format!("case-{i}"));
+        copy_store(if *on_chunked { &chunked } else { &flat }, &dir);
+        damage(&dir);
+        let d = dir.to_str().unwrap();
+
+        let out = run(&["lint", d, "--deny", "warn"]);
+        assert!(!out.status.success(), "{case}: lint must fail");
+        let codes = printed_codes(&out);
+        assert!(codes.iter().any(|c| c == code), "{case}: lint lacks {code}: {codes:?}");
+        let out = run(&["fsck", d]);
+        assert!(!out.status.success(), "{case}: fsck must fail: {}", stdout(&out));
+
+        run(&["fsck", d, "--repair", "--prune"]);
+        run(&["fsck", d, "--repair", "--prune"]);
+        let out = run(&["fsck", d]);
+        assert!(
+            printed_codes(&out).iter().all(|c| REPORT_ONLY.contains(&c.as_str())),
+            "{case}: repairable findings survived two repairs: {}",
+            stdout(&out)
+        );
+        let repairable = !REPORT_ONLY.contains(code);
+        assert_eq!(out.status.success(), repairable, "{case}: {}", stdout(&out));
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -12,7 +12,26 @@ use crate::semantic::SemanticIndex;
 use serde::{Deserialize, Serialize};
 use sommelier_fault::{StdStorage, Storage};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// File name (inside a repository directory) of the JSON index snapshot.
+pub const INDEX_FILE: &str = "sommelier.index.json";
+
+/// File name of the binary index snapshot (`sommelier compact` output).
+pub const INDEX_FILE_BIN: &str = "sommelier.index.somb";
+
+/// The snapshot path a repository directory serves from: the binary
+/// snapshot when one exists (a compacted repository), the JSON file
+/// otherwise. New repositories index to JSON until compacted. A JSON
+/// file shadowed by a binary one is never read.
+pub fn index_path(dir: &Path) -> PathBuf {
+    let bin = dir.join(INDEX_FILE_BIN);
+    if bin.exists() {
+        bin
+    } else {
+        dir.join(INDEX_FILE)
+    }
+}
 
 /// On-disk encoding of a snapshot. Readers sniff the format from the
 /// leading bytes ([`crate::somb::MAGIC`] marks binary, anything else is

@@ -98,7 +98,7 @@ impl Auditor {
             found
         });
 
-        let mut diagnostics = ctx.load_diagnostics.clone();
+        let mut diagnostics = Vec::new();
         for ((key, _), diags) in ctx.models.iter().zip(&per_model) {
             for d in diags.iter() {
                 let mut d = d.clone();

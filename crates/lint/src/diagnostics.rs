@@ -92,13 +92,16 @@ pub mod codes {
     pub const NON_CANONICAL_MODEL_FILE: &str = "SOM072";
     /// The store directory could not be listed at all.
     pub const STORE_LISTING_FAILED: &str = "SOM073";
-    /// A manifest references a chunk absent from the chunk store.
+    /// A manifest references a chunk absent from the chunk store (or
+    /// present but corrupt).
     pub const DANGLING_CHUNK: &str = "SOM074";
     /// A chunk no manifest references (refcount zero), or a stray
     /// non-chunk file inside the chunk namespace.
     pub const ORPHANED_CHUNK: &str = "SOM075";
     /// A delta manifest whose base chain is missing or cyclic.
     pub const BROKEN_DELTA_BASE: &str = "SOM076";
+    /// A chunk's bytes no longer hash to its name.
+    pub const CORRUPT_CHUNK: &str = "SOM077";
     /// A recomputed layer width disagrees with the stored graph.
     pub const SHAPE_INCOMPATIBLE: &str = "SOM080";
     /// A parameter tensor contains NaN or infinite values.
@@ -162,9 +165,10 @@ pub mod codes {
         (ORPHANED_TEMP, "orphaned temp file from an interrupted write"),
         (NON_CANONICAL_MODEL_FILE, "model file name is not a canonical key"),
         (STORE_LISTING_FAILED, "store directory could not be listed"),
-        (DANGLING_CHUNK, "manifest references a missing chunk"),
+        (DANGLING_CHUNK, "manifest references a missing or corrupt chunk"),
         (ORPHANED_CHUNK, "chunk is referenced by no manifest"),
         (BROKEN_DELTA_BASE, "delta manifest base missing or cyclic"),
+        (CORRUPT_CHUNK, "chunk content does not match its hash"),
         (SHAPE_INCOMPATIBLE, "recomputed layer width disagrees with graph"),
         (NONFINITE_WEIGHTS, "parameter tensor contains NaN/Inf values"),
         (UNREACHABLE_SUBGRAPH, "subgraph can never reach the output"),
@@ -479,7 +483,7 @@ mod tests {
         ] {
             assert!(seen.contains(known), "{known} missing from registry");
         }
-        assert_eq!(codes::ALL.len(), 49, "update the registry with new codes");
+        assert_eq!(codes::ALL.len(), 50, "update the registry with new codes");
     }
 
     #[test]

@@ -35,9 +35,11 @@
 //!   orphaned temp files from interrupted atomic writes, model files
 //!   whose names are not canonical key encodings, unlistable store
 //!   directories, and chunk-store hygiene: manifests referencing
-//!   missing chunks, chunks no manifest references, and delta
-//!   manifests with missing or cyclic base chains
-//!   (`SOM070`–`SOM076`).
+//!   missing chunks, chunks no manifest references, delta manifests
+//!   with missing or cyclic base chains, and chunks whose bytes no
+//!   longer match their hash (`SOM070`–`SOM077`). The same pass
+//!   reports what the context loader could not read (`SOM007`,
+//!   `SOM027`), and `sommelier fsck` repairs from its findings.
 //!
 //! On top of the shallow families sits the *deep audit*: an
 //! abstract-interpretation [`dataflow`] engine feeding the
@@ -66,17 +68,13 @@ pub use diagnostics::{codes, Diagnostic, LintReport, Severity};
 use sommelier_graph::Model;
 use sommelier_index::{persist, ResourceIndex, SemanticIndex};
 use sommelier_query::Query;
-use sommelier_repo::{ModelRepository, OnDiskRepository};
+use sommelier_repo::{
+    decode_key, encode_key, is_chunk_name, Manifest, ModelRepository,
+    OnDiskRepository, CHUNK_DIR, CHUNK_SUFFIX, MANIFEST_SUFFIX, MODEL_SUFFIX,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::time::SystemTime;
-
-/// File name (inside a repository directory) of the persisted indices.
-/// Mirrors the CLI's convention.
-pub const INDEX_FILE: &str = "sommelier.index.json";
-
-/// File name of the binary (`.somb`) snapshot. When both files exist
-/// the binary one wins, mirroring the CLI's resolution order.
-pub const INDEX_FILE_BIN: &str = "sommelier.index.somb";
 
 /// Everything a lint run can look at. All fields are optional-by-shape:
 /// passes skip whatever is absent, so the same runner lints a bare
@@ -108,12 +106,31 @@ pub struct LintContext {
     /// Parsed chunk manifests as `(file name, manifest)` — the
     /// store-hygiene pass checks chunk references and delta base
     /// chains against these.
-    pub manifests: Vec<(String, sommelier_repo::Manifest)>,
+    pub manifests: Vec<(String, Manifest)>,
+    /// Canonical chunk files (names inside `chunks/`) whose bytes no
+    /// longer hash to their name, or cannot be read.
+    pub corrupt_chunks: BTreeSet<String>,
+    /// Stored models that failed to load.
+    pub unreadable_models: Vec<UnreadableModel>,
+    /// The index snapshot that failed to read, as `(file name, error)`.
+    pub snapshot_error: Option<(String, String)>,
+    /// Why the store directory could not be listed, if it could not.
+    pub listing_error: Option<String>,
     /// Queries to lint statically (parsed ASTs).
     pub queries: Vec<Query>,
-    /// Findings produced while *loading* the context (unreadable model
-    /// files, unparseable snapshots); prepended to every report.
-    pub load_diagnostics: Vec<Diagnostic>,
+}
+
+/// A stored model that failed to load.
+#[derive(Clone, Debug)]
+pub struct UnreadableModel {
+    /// Its repository key.
+    pub key: String,
+    /// The flat model or manifest file when that file itself does not
+    /// parse; `None` when it parses and a chunk or delta base it depends
+    /// on is at fault.
+    pub file: Option<String>,
+    /// The load error.
+    pub error: String,
 }
 
 impl LintContext {
@@ -123,41 +140,21 @@ impl LintContext {
     }
 
     /// Load a context from an on-disk repository directory: every
-    /// readable `*.model.json`, the index snapshot (if present), and
-    /// file modification times. Unreadable artifacts become
-    /// `load_diagnostics` instead of hard failures — a corrupt snapshot
-    /// is precisely what the lint layer exists to report.
+    /// readable stored model, the raw store and chunk listings, every
+    /// parseable manifest, a hash verdict for every chunk, the index
+    /// snapshot (if present), and file modification times. Unreadable
+    /// artifacts are recorded instead of failing the load — a corrupt
+    /// snapshot is precisely what the lint layer exists to report.
     pub fn from_repo_dir(dir: &Path) -> Result<LintContext, String> {
         if !dir.exists() {
             return Err(format!("repository '{}' does not exist", dir.display()));
         }
         let repo = OnDiskRepository::open(dir).map_err(|e| e.to_string())?;
         let mut ctx = LintContext::new();
-        match repo.try_keys() {
-            Ok(keys) => {
-                for key in keys {
-                    match repo.load(&key) {
-                        Ok(model) => ctx.models.push((key, model)),
-                        Err(e) => ctx.load_diagnostics.push(Diagnostic::error(
-                            codes::MODEL_UNREADABLE,
-                            format!("model '{key}'"),
-                            format!("stored model could not be loaded: {e}"),
-                        )),
-                    }
-                }
-            }
-            // A listing failure blinds every store check: report it
-            // loudly rather than linting an empty-looking repository.
-            Err(e) => ctx.load_diagnostics.push(Diagnostic::error(
-                codes::STORE_LISTING_FAILED,
-                format!("store '{}'", dir.display()),
-                format!("repository directory could not be listed: {e}"),
-            )),
-        }
         // Raw directory listing: store-hygiene fodder plus model-file
         // mtimes, decoded back to the repository keys they store.
         if let Ok(entries) = std::fs::read_dir(dir) {
-            let mut mtimes = std::collections::BTreeMap::new();
+            let mut mtimes = BTreeMap::new();
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let Some(name) = name.to_str() else { continue };
@@ -168,41 +165,32 @@ impl LintContext {
                 // Both representations count as "the model file" for
                 // freshness: a republished manifest must stale the
                 // index exactly like a republished flat file.
-                let Some(key) = name
-                    .strip_suffix(sommelier_repo::MODEL_SUFFIX)
-                    .or_else(|| name.strip_suffix(sommelier_repo::MANIFEST_SUFFIX))
-                    .and_then(sommelier_repo::decode_key)
-                else {
+                let Some(key) = passes::store::model_stem(name).and_then(decode_key) else {
                     continue;
                 };
-                if let Ok(meta) = entry.metadata() {
-                    if let Ok(mtime) = meta.modified() {
-                        let slot = mtimes.entry(key).or_insert(mtime);
-                        if mtime > *slot {
-                            *slot = mtime;
-                        }
+                if let Ok(mtime) = entry.metadata().and_then(|m| m.modified()) {
+                    let slot = mtimes.entry(key).or_insert(mtime);
+                    if mtime > *slot {
+                        *slot = mtime;
                     }
                 }
             }
             ctx.model_mtimes = mtimes.into_iter().collect();
         }
         ctx.store_files.sort();
-        // Parse every manifest for chunk-hygiene checks. Unparseable
-        // ones already surfaced as MODEL_UNREADABLE through the
-        // key-loading loop above.
         for name in &ctx.store_files {
-            if !name.ends_with(sommelier_repo::MANIFEST_SUFFIX) {
+            if !name.ends_with(MANIFEST_SUFFIX) {
                 continue;
             }
-            if let Ok(bytes) = std::fs::read(dir.join(name)) {
-                if let Ok(json) = String::from_utf8(bytes) {
-                    if let Ok(manifest) = sommelier_repo::Manifest::from_json(&json) {
-                        ctx.manifests.push((name.clone(), manifest));
-                    }
-                }
+            let parsed = std::fs::read(dir.join(name))
+                .ok()
+                .and_then(|bytes| String::from_utf8(bytes).ok())
+                .and_then(|json| Manifest::from_json(&json).ok());
+            if let Some(manifest) = parsed {
+                ctx.manifests.push((name.clone(), manifest));
             }
         }
-        if let Ok(entries) = std::fs::read_dir(dir.join(sommelier_repo::CHUNK_DIR)) {
+        if let Ok(entries) = std::fs::read_dir(dir.join(CHUNK_DIR)) {
             for entry in entries.flatten() {
                 if let Some(name) = entry.file_name().to_str() {
                     ctx.chunk_files.push(name.to_string());
@@ -210,10 +198,35 @@ impl LintContext {
             }
         }
         ctx.chunk_files.sort();
-        // Binary snapshot wins over JSON when both exist (CLI order).
-        let bin_path = dir.join(INDEX_FILE_BIN);
-        let json_path = dir.join(INDEX_FILE);
-        let index_path = if bin_path.exists() { bin_path } else { json_path };
+        let chunks = repo.chunk_store();
+        ctx.corrupt_chunks = ctx
+            .chunk_files
+            .iter()
+            .filter(|name| is_chunk_name(name))
+            .filter(|name| chunks.get(name.trim_end_matches(CHUNK_SUFFIX)).is_err())
+            .cloned()
+            .collect();
+        match repo.try_keys() {
+            Ok(keys) => {
+                for key in keys {
+                    match repo.load(&key) {
+                        Ok(model) => ctx.models.push((key, model)),
+                        Err(e) => {
+                            let file = ctx.file_at_fault(&key);
+                            ctx.unreadable_models.push(UnreadableModel {
+                                key,
+                                file,
+                                error: e.to_string(),
+                            });
+                        }
+                    }
+                }
+            }
+            // A listing failure blinds every store check: report it
+            // loudly rather than linting an empty-looking repository.
+            Err(e) => ctx.listing_error = Some(e.to_string()),
+        }
+        let index_path = persist::index_path(dir);
         if index_path.exists() {
             ctx.index_mtime = std::fs::metadata(&index_path)
                 .and_then(|m| m.modified())
@@ -232,14 +245,29 @@ impl LintContext {
                     ctx.semantic = Some(snapshot.semantic);
                     ctx.resource = Some(snapshot.resource);
                 }
-                Err(e) => ctx.load_diagnostics.push(Diagnostic::error(
-                    codes::SNAPSHOT_UNREADABLE,
-                    "index-snapshot",
-                    format!("{e}"),
-                )),
+                Err(e) => {
+                    let file = index_path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+                    ctx.snapshot_error = Some((file.to_string(), e.to_string()));
+                }
             }
         }
         Ok(ctx)
+    }
+
+    /// The file to blame when `key` fails to load: its flat model file
+    /// when present (the flat file wins on load), else its manifest
+    /// unless that manifest parsed — then a chunk or base is at fault.
+    fn file_at_fault(&self, key: &str) -> Option<String> {
+        let stem = encode_key(key);
+        let flat = format!("{stem}{MODEL_SUFFIX}");
+        let manifest = format!("{stem}{MANIFEST_SUFFIX}");
+        if self.store_files.binary_search(&flat).is_ok() {
+            Some(flat)
+        } else if self.manifests.iter().any(|(file, _)| *file == manifest) {
+            None
+        } else {
+            Some(manifest)
+        }
     }
 
     /// Whether a repository key exists among the loaded models.
@@ -307,7 +335,7 @@ impl LintRunner {
 
     /// Run every pass over the context.
     pub fn run(&self, ctx: &LintContext) -> LintReport {
-        let mut diagnostics = ctx.load_diagnostics.clone();
+        let mut diagnostics = Vec::new();
         for pass in &self.passes {
             pass.run(ctx, &mut diagnostics);
         }
@@ -345,13 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn load_diagnostics_are_carried_into_the_report() {
+    fn load_failures_are_carried_into_the_report() {
         let mut ctx = LintContext::new();
-        ctx.load_diagnostics.push(Diagnostic::error(
-            codes::SNAPSHOT_UNREADABLE,
-            "index-snapshot",
-            "boom",
-        ));
+        ctx.snapshot_error = Some((persist::INDEX_FILE.into(), "boom".into()));
         let report = LintRunner::with_default_passes().run(&ctx);
         assert_eq!(report.max_severity(), Some(Severity::Error));
     }

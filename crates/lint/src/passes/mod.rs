@@ -8,8 +8,10 @@
 //! * [`binary`] — binary (`.somb`) snapshot-image validation: header
 //!   and section CRCs, slab shape, non-finite lanes (`SOM054`–`SOM056`);
 //! * [`epoch`] — snapshot publication-epoch validation (`SOM06x`);
-//! * [`store`] — store-directory hygiene: quarantined artifacts,
-//!   orphaned temp files, non-canonical file names (`SOM07x`);
+//! * [`store`] — the store check `sommelier fsck` repairs from:
+//!   unreadable models and snapshots, quarantined artifacts, orphaned
+//!   temp files, non-canonical file names, chunk and delta-base damage
+//!   (`SOM007`, `SOM027`, `SOM07x`);
 //! * [`deep`] — the abstract-interpretation dataflow family and the
 //!   cross-artifact consistency join (`SOM08x`/`SOM09x`).
 //!

@@ -472,12 +472,11 @@ impl SommelierReader {
 
     /// Execute a batch of textual queries, fanned across the reader's
     /// pool. The whole batch pins *one* snapshot, so every item is
-    /// served from the same epoch; per-lane latency is recorded into
-    /// the exact `query.batch.latency_ms` series (p50/p90/p99 via
-    /// [`latency::quantiles`]) and merged into the mergeable
-    /// `query.batch_ms` histogram — one batched merge, not one
-    /// registry-lock acquisition per item — so concurrent readers (the
-    /// serving daemon) aggregate tail latency without contending.
+    /// served from the same epoch; per-lane latency is returned on each
+    /// item and merged into the mergeable `query.batch_ms` histogram —
+    /// one batched merge, not one registry-lock acquisition per item —
+    /// so concurrent readers (the serving daemon) aggregate tail
+    /// latency without contending.
     /// Items come back in input order, and the result sets are
     /// identical at any lane count.
     pub fn query_batch(&self, texts: &[String]) -> Vec<BatchQueryItem> {
@@ -494,7 +493,6 @@ impl SommelierReader {
         });
         let mut local = latency::LocalRecorder::new();
         for item in &items {
-            latency::record("query.batch.latency_ms", item.latency_ms);
             local.record(item.latency_ms);
         }
         local.flush_into(&latency::histogram("query.batch_ms"));

@@ -212,11 +212,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let Ok(stream) = stream else { continue };
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::spawn(move || handle_connection(conn_shared, stream));
-        shared
-            .conn_threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
+        let mut threads = shared.conn_threads.lock().unwrap_or_else(|e| e.into_inner());
+        // Drop the handles of closed connections, so a daemon that runs
+        // for weeks holds one per live connection, not one per accept.
+        threads.retain(|t| !t.is_finished());
+        threads.push(handle);
     }
 }
 
@@ -242,19 +242,25 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     let mut local = latency::LocalRecorder::new();
     let mut writer = stream;
     let mut lines = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        line.clear();
-        match lines.read_line(&mut line) {
+        frame.clear();
+        match lines.read_until(b'\n', &mut frame) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        let line = std::str::from_utf8(&frame).map(str::trim);
+        if line.is_ok_and(str::is_empty) {
             continue;
         }
         let started = std::time::Instant::now();
-        let (response, stop_after) = serve_line(&shared, &reader, trimmed);
+        let (response, stop_after) = match line {
+            Ok(line) => serve_line(&shared, &reader, line),
+            Err(_) => (
+                error_frame(None, ErrorCode::BadRequest, "request frame is not valid UTF-8", None),
+                false,
+            ),
+        };
         local.record(started.elapsed().as_secs_f64() * 1e3);
         counters::add("serve.requests", 1);
         if local.len() >= FLUSH_EVERY {
@@ -597,4 +603,41 @@ fn metrics_frame(shared: &Shared, id: u64, reader: &SommelierReader) -> String {
             ("latency".to_string(), latency_map),
         ],
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sommelier_query::SommelierConfig;
+    use sommelier_repo::{InMemoryRepository, ModelRepository};
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let repo = Arc::new(InMemoryRepository::new()) as Arc<dyn ModelRepository>;
+        let engine = Sommelier::connect(repo, SommelierConfig::default());
+        let handle = Daemon::serve(engine, DaemonConfig::default()).expect("daemon starts");
+        let addr = handle.addr().to_string();
+        let ping = || {
+            let mut client = client::Client::connect(&addr).expect("connect");
+            assert!(client.ping().expect("ping").ok);
+        };
+        for _ in 0..8 {
+            ping();
+        }
+        // Each accept drops the handles of connections closed by then,
+        // so the tracked set settles at the live connections instead of
+        // growing with every accept.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            ping();
+            if handle.shared.conn_threads.lock().unwrap().len() <= 1 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "finished connection threads are never dropped");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.shutdown();
+        handle.wait();
+    }
 }

@@ -128,6 +128,27 @@ fn bad_frames_get_typed_bad_request_not_disconnect() {
 }
 
 #[test]
+fn non_utf8_frames_get_typed_bad_request_not_disconnect() {
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, addr, _reference, _victim) = start(DaemonConfig::default());
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"\xff\xfe{\"id\":2,\"op\":\"ping\"}\n{\"id\":3,\"op\":\"ping\"}\n")
+        .unwrap();
+    let mut replies = BufReader::new(stream).lines();
+    let bad = replies.next().expect("a reply to the bad frame").unwrap();
+    assert!(bad.contains("bad_request"), "{bad}");
+    // The same connection still serves the next frame.
+    let pong = replies.next().expect("a reply to the ping").unwrap();
+    assert!(pong.contains("\"pong\""), "{pong}");
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
 fn batch_pins_one_epoch_under_republish_storm() {
     let (handle, addr, reference, victim) = start(DaemonConfig {
         workers: 4,
