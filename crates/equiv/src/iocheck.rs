@@ -9,6 +9,7 @@
 
 use sommelier_graph::task::OutputStyle;
 use sommelier_graph::Model;
+use sommelier_tensor::Shape;
 
 /// Metadata key under which a model may declare its input preprocessor.
 /// When both models declare one, strict input-shape comparison is skipped
@@ -30,12 +31,46 @@ impl IoCompat {
     }
 }
 
+/// The facts of one model that the I/O check reads: everything
+/// [`check_io`] looks at, detached from the model's weights so a caller
+/// can keep them after the model itself is dropped.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IoFacts {
+    /// Logical input shape.
+    pub input_shape: Shape,
+    /// Whether the model declares a [`PREPROCESSOR_KEY`] preprocessor.
+    pub preprocessor: bool,
+    /// Width of the model output.
+    pub output_width: usize,
+    /// QoR style of the model's task.
+    pub style: OutputStyle,
+    /// Per-dimension output labels, when published.
+    pub output_syntax: Option<Vec<String>>,
+}
+
+impl IoFacts {
+    /// The I/O facts of `model`.
+    pub fn of(model: &Model) -> IoFacts {
+        IoFacts {
+            input_shape: model.input_shape.clone(),
+            preprocessor: model.metadata.contains_key(PREPROCESSOR_KEY),
+            output_width: model.output_width(),
+            style: model.task.output_style(),
+            output_syntax: model.output_syntax.clone(),
+        }
+    }
+}
+
 /// Run the input and output layer check between two models.
 pub fn check_io(a: &Model, b: &Model) -> IoCompat {
+    check_io_facts(&IoFacts::of(a), &IoFacts::of(b))
+}
+
+/// [`check_io`] over facts taken earlier with [`IoFacts::of`].
+pub fn check_io_facts(a: &IoFacts, b: &IoFacts) -> IoCompat {
     // Input check: strict shape comparison, waived if both models declare
     // preprocessing of the raw source.
-    let both_preprocess = a.metadata.contains_key(PREPROCESSOR_KEY)
-        && b.metadata.contains_key(PREPROCESSOR_KEY);
+    let both_preprocess = a.preprocessor && b.preprocessor;
     if !both_preprocess && !a.input_shape.strictly_matches(&b.input_shape) {
         return IoCompat::Incompatible(format!(
             "input shapes differ: {} vs {}",
@@ -44,18 +79,17 @@ pub fn check_io(a: &Model, b: &Model) -> IoCompat {
     }
 
     // Output check: shapes must agree for either style.
-    if a.output_width() != b.output_width() {
+    if a.output_width != b.output_width {
         return IoCompat::Incompatible(format!(
             "output widths differ: {} vs {}",
-            a.output_width(),
-            b.output_width()
+            a.output_width, b.output_width
         ));
     }
 
     // Classification-style outputs additionally carry syntax: if both
     // models publish per-dimension labels, those must agree.
-    let classification = a.task.output_style() == OutputStyle::Classification
-        || b.task.output_style() == OutputStyle::Classification;
+    let classification =
+        a.style == OutputStyle::Classification || b.style == OutputStyle::Classification;
     if classification {
         if let (Some(sa), Some(sb)) = (&a.output_syntax, &b.output_syntax) {
             if sa != sb {

@@ -42,6 +42,6 @@ pub mod whole;
 pub use explain::{explain, Explanation};
 pub use paircache::{CacheStats, PairKey, PairKind, PairwiseCache};
 pub use genbound::GenBoundConfig;
-pub use iocheck::{check_io, IoCompat};
+pub use iocheck::{check_io, check_io_facts, IoCompat, IoFacts};
 pub use segment::MatchedSegment;
 pub use whole::{assess_whole, EquivConfig, WholeModelReport};

@@ -133,6 +133,17 @@ pub trait PairAnalyzer: Sync {
         None
     }
 
+    /// Get ready to analyze `model` (whose content fingerprint the index
+    /// already computed) without it being materialized again: called
+    /// before the pairwise fan-out for each batch model that appears in
+    /// a pair the memo cannot answer. An analyzer that keeps per-model
+    /// state (such as probe outputs) builds it here, so the
+    /// `cached_*` lookups can answer the model's pairs. The default
+    /// does nothing.
+    fn prepare(&self, model: &Model, fingerprint: Fingerprint) {
+        let _ = (model, fingerprint);
+    }
+
     /// Optimistic memoized lookup of [`PairAnalyzer::whole_diff`], keyed
     /// by content fingerprints alone. `Some(result)` means the analyzer
     /// can answer without either model being materialized — the
@@ -209,6 +220,11 @@ struct EdgeMeasurement {
     seg_fwd: Option<f64>,
     seg_rev: Option<f64>,
 }
+
+/// The pairwise memo's answers for one pair in [`EdgeMeasurement`]
+/// field order (`fwd`, `rev`, `seg_fwd`, `seg_rev`); `None` = not
+/// memoized.
+type PairMemo = [Option<Option<f64>>; 4];
 
 /// Serialized form of one edge-table row.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -605,6 +621,12 @@ impl SemanticIndex {
         self.by_key.contains_key(key)
     }
 
+    /// Whether a model with this content fingerprint is indexed (under
+    /// any key).
+    pub fn contains_fingerprint(&self, fp: Fingerprint) -> bool {
+        self.entries.contains_key(&fp)
+    }
+
     /// The task recorded for an indexed key, if any.
     pub fn task_of(&self, key: &str) -> Option<TaskKind> {
         self.tasks.get(key).copied()
@@ -919,22 +941,49 @@ impl SemanticIndex {
                 .map(|(m, fp)| (*fp, m))
                 .collect();
             let segments = self.config.segments;
-            measured = pool.par_map(&adds, |&(lo, hi)| {
-                let c_fwd = analyzer.cached_whole_diff(Fingerprint(lo), Fingerprint(hi));
-                let c_rev = analyzer.cached_whole_diff(Fingerprint(hi), Fingerprint(lo));
-                let c_sf = if segments {
-                    analyzer.cached_segment_diff(Fingerprint(lo), Fingerprint(hi))
-                } else {
-                    Some(None)
+            // Ask the memo for a pair's still-unknown slots.
+            let lookup = |(lo, hi): (u64, u64), known: PairMemo| -> PairMemo {
+                let (l, h) = (Fingerprint(lo), Fingerprint(hi));
+                let segment = |host, donor| {
+                    if segments {
+                        analyzer.cached_segment_diff(host, donor)
+                    } else {
+                        Some(None)
+                    }
                 };
-                let c_sr = if segments {
-                    analyzer.cached_segment_diff(Fingerprint(hi), Fingerprint(lo))
+                let [fwd, rev, seg_fwd, seg_rev] = known;
+                [
+                    fwd.or_else(|| analyzer.cached_whole_diff(l, h)),
+                    rev.or_else(|| analyzer.cached_whole_diff(h, l)),
+                    seg_fwd.or_else(|| segment(l, h)),
+                    seg_rev.or_else(|| segment(h, l)),
+                ]
+            };
+            let answered = |known: &PairMemo| known.iter().all(Option::is_some);
+            let memo: Vec<((u64, u64), PairMemo)> =
+                pool.par_map(&adds, |&pair| (pair, lookup(pair, [None; 4])));
+            // Each batch model in a pair the memo cannot answer is
+            // prepared once, before the pairs fan out, so the analyzer's
+            // per-model state can answer the pair without resolving
+            // either model.
+            let mut unprepared: Vec<u64> = memo
+                .iter()
+                .filter(|(_, known)| !answered(known))
+                .flat_map(|&((lo, hi), _)| [lo, hi])
+                .filter(|fp| batch_models.contains_key(fp))
+                .collect();
+            unprepared.sort_unstable();
+            unprepared.dedup();
+            pool.par_map(&unprepared, |fp| {
+                analyzer.prepare(batch_models[fp], Fingerprint(*fp))
+            });
+            measured = pool.par_map(&memo, |&((lo, hi), known)| {
+                let known = if answered(&known) {
+                    known
                 } else {
-                    Some(None)
+                    lookup((lo, hi), known)
                 };
-                if let (Some(fwd), Some(rev), Some(seg_fwd), Some(seg_rev)) =
-                    (c_fwd, c_rev, c_sf, c_sr)
-                {
+                if let [Some(fwd), Some(rev), Some(seg_fwd), Some(seg_rev)] = known {
                     return EdgeMeasurement {
                         fwd,
                         rev,
@@ -942,6 +991,7 @@ impl SemanticIndex {
                         seg_rev,
                     };
                 }
+                let [c_fwd, c_rev, c_sf, c_sr] = known;
                 let lo_m: Option<Cow<'_, Model>> = batch_models
                     .get(&lo)
                     .map(|m| Cow::Borrowed(*m))

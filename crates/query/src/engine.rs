@@ -9,9 +9,11 @@
 //! filter pipeline.
 //!
 //! [`EquivAnalyzer`] is the production [`PairAnalyzer`]: whole-model
-//! analysis via `sommelier-equiv::assess_whole` on seeded probe batches
-//! (with the per-model architecture factor of the generalization bound
-//! cached by fingerprint), and segment analysis via `assess_replacement`.
+//! analysis on seeded probe batches — from per-model probe signatures
+//! (I/O facts, probe outputs and the architecture factor of the
+//! generalization bound, kept by fingerprint) when memoization is on,
+//! via `sommelier-equiv::assess_whole` otherwise — and segment analysis
+//! via `assess_replacement`.
 //! The analyzer is thread-safe: analyses run concurrently during index
 //! construction, results are memoized in a shared
 //! [`PairwiseCache`](sommelier_equiv::PairwiseCache) keyed by model
@@ -24,7 +26,9 @@ use crate::plan::{plan, QueryPlan};
 use crate::plancache::{normalize_query, PlanCache, PlanCacheStats};
 use sommelier_equiv::genbound::architecture_factor;
 use sommelier_equiv::whole::{AssessError, GenBoundMode};
-use sommelier_equiv::{assess_whole, EquivConfig, PairKey, PairKind, PairwiseCache};
+use sommelier_equiv::{
+    assess_whole, check_io_facts, EquivConfig, IoFacts, PairKey, PairKind, PairwiseCache,
+};
 use sommelier_graph::{Fingerprint, Model, TaskKind};
 use sommelier_index::lsh::LshConfig;
 use sommelier_index::semantic::SemanticIndexConfig;
@@ -32,7 +36,7 @@ use sommelier_index::{CandidateKind, PairAnalyzer, ResourceIndex, SemanticIndex}
 use sommelier_parallel::{RcuCell, ThreadPool};
 use sommelier_repo::{ModelRepository, RepoError};
 use sommelier_runtime::metrics::{counters, latency, qor_difference};
-use sommelier_runtime::{DeviceProfile, ExecSetting, ResourceProfile};
+use sommelier_runtime::{execute, DeviceProfile, ExecSetting, ResourceProfile};
 use sommelier_tensor::{mix64, Prng, Tensor};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -169,20 +173,91 @@ impl SnapshotRecovery {
     }
 }
 
+/// What whole-model analysis reads of one model, taken once while the
+/// model is in memory: the I/O facts `check_io` compares, the model's
+/// outputs on the seeded probe of its own input width, and the
+/// architecture factor of the generalization bound. Two signatures
+/// reproduce `whole_diff` of their models bit for bit — the same floats
+/// go through the same arithmetic — so a pair of resident signatures is
+/// analyzed without loading or executing either model.
+struct ProbeSignature {
+    io: IoFacts,
+    /// Outputs on the probe for `io.input_shape`'s width. `None` in a
+    /// factor-only entry: with memoization off (`cache_cap == 0`) the
+    /// analyzer keeps only the architecture factor, as it always has.
+    outputs: Option<Tensor>,
+    /// Architecture factor of the bound (0 with the bound off).
+    factor: f64,
+}
+
+impl ProbeSignature {
+    /// Approximate resident bytes: the inline struct plus its heap
+    /// parts (outputs, shape, output labels).
+    fn bytes(&self) -> usize {
+        let labels = self.io.output_syntax.iter().flatten();
+        std::mem::size_of::<Self>()
+            + self
+                .outputs
+                .as_ref()
+                .map_or(0, |t| std::mem::size_of_val(t.as_slice()))
+            + std::mem::size_of_val(self.io.input_shape.dims())
+            + labels
+                .map(|label| std::mem::size_of::<String>() + label.len())
+                .sum::<usize>()
+    }
+}
+
+/// The analyzer's probe signatures, keyed by model fingerprint.
+#[derive(Default)]
+struct SignatureStore {
+    map: Mutex<HashMap<Fingerprint, Arc<ProbeSignature>>>,
+}
+
+impl SignatureStore {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Fingerprint, Arc<ProbeSignature>>> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn get(&self, fp: Fingerprint) -> Option<Arc<ProbeSignature>> {
+        self.lock().get(&fp).cloned()
+    }
+
+    fn insert(&self, fp: Fingerprint, signature: ProbeSignature) -> Arc<ProbeSignature> {
+        let signature = Arc::new(signature);
+        self.lock().insert(fp, Arc::clone(&signature));
+        signature
+    }
+
+    /// Drop every signature whose fingerprint `keep` rejects.
+    fn retain(&self, keep: impl Fn(Fingerprint) -> bool) {
+        self.lock().retain(|fp, _| keep(*fp));
+    }
+
+    /// Count and approximate bytes of the resident signatures.
+    fn stats(&self) -> (usize, usize) {
+        let map = self.lock();
+        (map.len(), map.values().map(|s| s.bytes()).sum())
+    }
+}
+
 /// The production pairwise analyzer.
 ///
-/// Thread-safe ([`Sync`]): probe batches and architecture factors are
-/// memoized behind mutexes, expensive analysis results go through a
+/// Thread-safe ([`Sync`]): probe batches and per-model probe signatures
+/// are memoized behind mutexes, expensive analysis results go through a
 /// shared [`PairwiseCache`] keyed by `(fingerprint_a, fingerprint_b,
 /// kind, config_hash)`, and segment-replacement randomness is seeded per
 /// pair from the model fingerprints — so the analyzer returns the same
 /// answer for a pair no matter which worker asks, or in what order.
+///
+/// Signatures are memoization and follow the cache: with a disabled
+/// cache every whole-model analysis runs both models on the probe and
+/// only the architecture factor is kept per fingerprint.
 pub struct EquivAnalyzer {
     equiv: EquivConfig,
     segment_epsilon: f64,
     validation_rows: usize,
     probes: Mutex<HashMap<usize, Tensor>>,
-    arch_factors: Mutex<HashMap<Fingerprint, f64>>,
+    signatures: SignatureStore,
     cache: Arc<PairwiseCache>,
     /// Hash of every knob that influences analysis results; part of the
     /// cache key so entries can never leak across configurations.
@@ -224,7 +299,7 @@ impl EquivAnalyzer {
             segment_epsilon,
             validation_rows,
             probes: Mutex::new(HashMap::new()),
-            arch_factors: Mutex::new(HashMap::new()),
+            signatures: SignatureStore::default(),
             cache: Arc::new(PairwiseCache::new(0)),
             config_hash,
             seed,
@@ -252,29 +327,144 @@ impl EquivAnalyzer {
             .clone()
     }
 
-    fn cached_factor(&self, model: &Model, probe: &Tensor) -> f64 {
-        let fp = Fingerprint::of_model(model);
-        if let Some(f) = self
-            .arch_factors
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&fp)
-        {
-            return *f;
+    /// Keep only the signatures of fingerprints `keep` accepts — the
+    /// engine passes "still indexed" after every mutation, so resident
+    /// signatures never outnumber indexed models — and publish their
+    /// count and bytes as `pairwise_cache.{signatures,signature_bytes}`.
+    pub(crate) fn retain_signatures(&self, keep: impl Fn(Fingerprint) -> bool) {
+        self.signatures.retain(keep);
+        let (resident, bytes) = self.signatures.stats();
+        counters::set("pairwise_cache.signatures", resident as u64);
+        counters::set("pairwise_cache.signature_bytes", bytes as u64);
+    }
+
+    /// The architecture factor of `model` on `probe` (0 with the bound
+    /// off). A pure function of the model: the probe is always the one
+    /// for the model's own input width.
+    fn factor_on(&self, model: &Model, probe: &Tensor) -> f64 {
+        match self.equiv.genbound {
+            GenBoundMode::On(cfg) => architecture_factor(model, probe, &cfg),
+            GenBoundMode::Off => 0.0,
         }
-        let cfg = match self.equiv.genbound {
-            GenBoundMode::On(c) => c,
-            GenBoundMode::Off => return 0.0,
+    }
+
+    /// The full signature of `model` (fingerprint `fp`): resident, or
+    /// built now by running the model once and kept.
+    fn signature(&self, model: &Model, fp: Fingerprint) -> Arc<ProbeSignature> {
+        if let Some(signature) = self.signatures.get(fp).filter(|s| s.outputs.is_some()) {
+            return signature;
+        }
+        // Built outside the lock — a pure function of the model, so a
+        // concurrent duplicate is wasted work, never divergence.
+        let probe = self.probe(model.input_width());
+        let outputs =
+            execute(model, &probe).expect("a model runs on the probe of its own input width");
+        self.signatures.insert(
+            fp,
+            ProbeSignature {
+                io: IoFacts::of(model),
+                outputs: Some(outputs),
+                factor: self.factor_on(model, &probe),
+            },
+        )
+    }
+
+    /// The architecture factor of `model`, kept per fingerprint (as a
+    /// factor-only entry when no full signature is resident).
+    fn cached_factor(&self, model: &Model, fp: Fingerprint) -> f64 {
+        if let Some(signature) = self.signatures.get(fp) {
+            return signature.factor;
+        }
+        if self.equiv.genbound == GenBoundMode::Off {
+            return 0.0;
+        }
+        let factor = self.factor_on(model, &self.probe(model.input_width()));
+        self.signatures.insert(
+            fp,
+            ProbeSignature {
+                io: IoFacts::of(model),
+                outputs: None,
+                factor,
+            },
+        );
+        factor
+    }
+
+    /// The generalization-bound term recomposed from two cached
+    /// architecture factors.
+    fn bound_term(&self, reference_factor: f64, candidate_factor: f64) -> f64 {
+        match self.equiv.genbound {
+            GenBoundMode::Off => 0.0,
+            GenBoundMode::On(gb) => {
+                let n = (self.validation_rows.max(1) as f64).sqrt();
+                gb.constant * 0.5 * (reference_factor + candidate_factor) / (gb.gamma * n)
+                    + gb.concentration / n
+            }
+        }
+    }
+
+    /// `whole_diff` from two signatures: the I/O check on their facts,
+    /// then `qor_difference` of their probe outputs plus the bound term.
+    /// `None` when either is a factor-only entry (no probe outputs).
+    fn signature_diff(
+        &self,
+        reference: &ProbeSignature,
+        candidate: &ProbeSignature,
+    ) -> Option<Option<f64>> {
+        let (Some(ref_out), Some(cand_out)) = (&reference.outputs, &candidate.outputs) else {
+            return None;
         };
-        // Computed outside the lock — the factor is a pure function of
-        // the model, so concurrent duplicate computation is merely
-        // wasted work, never divergence.
-        let f = architecture_factor(model, probe, &cfg);
-        self.arch_factors
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(fp, f);
-        f
+        if !check_io_facts(&reference.io, &candidate.io).is_compatible() {
+            return Some(None);
+        }
+        // The preprocessor waiver can admit different input widths. The
+        // model path then runs the candidate on the *reference's* probe,
+        // which it cannot execute (`InputWidthMismatch`), so the pair is
+        // not comparable either way.
+        if reference.io.input_shape.flattened() != candidate.io.input_shape.flattened() {
+            return Some(None);
+        }
+        Some(Some(
+            qor_difference(reference.io.style, ref_out, cand_out)
+                + self.bound_term(reference.factor, candidate.factor),
+        ))
+    }
+
+    /// The model path, taken with memoization off: `assess_whole` without
+    /// its built-in bound (which would recompute both factors), plus the
+    /// cached-factor bound term.
+    fn model_diff(
+        &self,
+        reference: &Model,
+        candidate: &Model,
+        fps: [Fingerprint; 2],
+    ) -> Option<f64> {
+        let probe = self.probe(reference.input_width());
+        let empirical_cfg = EquivConfig {
+            epsilon: self.equiv.epsilon,
+            genbound: GenBoundMode::Off,
+        };
+        match assess_whole(reference, candidate, &probe, &empirical_cfg) {
+            Ok(report) => Some(
+                report.empirical_diff
+                    + self.bound_term(
+                        self.cached_factor(reference, fps[0]),
+                        self.cached_factor(candidate, fps[1]),
+                    ),
+            ),
+            Err(AssessError::Incompatible(_)) | Err(AssessError::Exec(_)) => None,
+        }
+    }
+
+    /// Answer `key` from the memo, or run `analyze` and memoize it: one
+    /// counted lookup, then one insert on a miss.
+    fn memoized(&self, key: PairKey, analyze: impl FnOnce() -> Option<f64>) -> Option<f64> {
+        if let Some(cached) = self.cache.get(&key) {
+            return cached;
+        }
+        let result = analyze();
+        self.cache.insert(key, result);
+        result
     }
 
     fn pair_key_fp(&self, kind: PairKind, a: Fingerprint, b: Fingerprint) -> PairKey {
@@ -293,34 +483,18 @@ impl EquivAnalyzer {
 
 impl PairAnalyzer for EquivAnalyzer {
     fn whole_diff(&self, reference: &Model, candidate: &Model) -> Option<f64> {
-        let key = self.pair_key(PairKind::Whole, reference, candidate);
-        if let Some(cached) = self.cache.get(&key) {
-            return cached;
-        }
-        let probe = self.probe(reference.input_width());
-        // Empirical difference without the (expensive, uncached) built-in
-        // bound path; the bound term is recomposed from cached factors.
-        let empirical_cfg = EquivConfig {
-            epsilon: self.equiv.epsilon,
-            genbound: GenBoundMode::Off,
-        };
-        let result = match assess_whole(reference, candidate, &probe, &empirical_cfg) {
-            Ok(report) => {
-                let term = match self.equiv.genbound {
-                    GenBoundMode::Off => 0.0,
-                    GenBoundMode::On(gb) => {
-                        let fa = self.cached_factor(reference, &probe);
-                        let fb = self.cached_factor(candidate, &probe);
-                        let n = (probe.rows().max(1) as f64).sqrt();
-                        gb.constant * 0.5 * (fa + fb) / (gb.gamma * n) + gb.concentration / n
-                    }
-                };
-                Some(report.empirical_diff + term)
+        let fps = [
+            Fingerprint::of_model(reference),
+            Fingerprint::of_model(candidate),
+        ];
+        self.memoized(self.pair_key_fp(PairKind::Whole, fps[0], fps[1]), || {
+            if !self.cache.enabled() {
+                return self.model_diff(reference, candidate, fps);
             }
-            Err(AssessError::Incompatible(_)) | Err(AssessError::Exec(_)) => None,
-        };
-        self.cache.insert(key, result);
-        result
+            let r = self.signature(reference, fps[0]);
+            let c = self.signature(candidate, fps[1]);
+            self.signature_diff(&r, &c).expect("signature() keeps probe outputs")
+        })
     }
 
     fn segment_diff(&self, host: &Model, donor: &Model) -> Option<f64> {
@@ -353,16 +527,33 @@ impl PairAnalyzer for EquivAnalyzer {
         result
     }
 
+    fn prepare(&self, model: &Model, fingerprint: Fingerprint) {
+        if self.cache.enabled() {
+            self.signature(model, fingerprint);
+        }
+    }
+
     fn cached_whole_diff(
         &self,
         reference: Fingerprint,
         candidate: Fingerprint,
     ) -> Option<Option<f64>> {
+        let key = self.pair_key_fp(PairKind::Whole, reference, candidate);
+        // Two resident signatures answer like a full analysis — through
+        // the counted memo path, one miss plus one insert — but without
+        // either model.
+        if let (Some(r), Some(c)) = (
+            self.signatures.get(reference),
+            self.signatures.get(candidate),
+        ) {
+            if let Some(result) = self.signature_diff(&r, &c) {
+                return Some(self.memoized(key, || result));
+            }
+        }
         // `peek` (not `get`): a memo miss falls through to the full
         // `whole_diff` path, whose own `get` books the miss — peek
         // counting too would double-book it.
-        self.cache
-            .peek(&self.pair_key_fp(PairKind::Whole, reference, candidate))
+        self.cache.peek(&key)
     }
 
     fn cached_segment_diff(&self, host: Fingerprint, donor: Fingerprint) -> Option<Option<f64>> {
@@ -1062,6 +1253,9 @@ impl Sommelier {
         let resolve = move |k: &str| repo.load(k).ok();
         self.semantic
             .apply_batch_with(&self.pool, removes, models, &resolve, &self.analyzer);
+        let semantic = &self.semantic;
+        self.analyzer
+            .retain_signatures(|fp| semantic.contains_fingerprint(fp));
         for key in removes {
             self.resource.remove(key);
         }
@@ -2303,6 +2497,206 @@ mod tests {
             assert!(
                 reopened.semantic_index().contains("u-a"),
                 "the key stays indexed"
+            );
+        }
+    }
+
+    /// A small two-layer model of `task` over `input` with `outputs`
+    /// output units.
+    fn mlp(task: TaskKind, input: sommelier_tensor::Shape, outputs: usize, seed: u64) -> Model {
+        let mut rng = Prng::seed_from_u64(seed);
+        sommelier_graph::ModelBuilder::new(format!("mlp-{seed}"), task, input)
+            .dense(6, &mut rng)
+            .relu()
+            .dense(outputs, &mut rng)
+            .softmax()
+            .build()
+            .unwrap()
+    }
+
+    fn analyzer(cache_cap: usize) -> EquivAnalyzer {
+        let cfg = SommelierConfig {
+            validation_rows: 48,
+            ..SommelierConfig::default()
+        };
+        EquivAnalyzer::new(
+            cfg.equiv,
+            cfg.segment_epsilon,
+            cfg.validation_rows,
+            cfg.seed,
+        )
+        .with_cache(Arc::new(PairwiseCache::new(cache_cap)))
+    }
+
+    /// `whole_diff` spelled out on the models: `assess_whole` for the
+    /// empirical difference, plus the bound term of both architecture
+    /// factors, each taken on the probe of the model's own input width.
+    fn assessed_diff(
+        analyzer: &EquivAnalyzer,
+        reference: &Model,
+        candidate: &Model,
+    ) -> Option<f64> {
+        let GenBoundMode::On(gb) = SommelierConfig::default().equiv.genbound else {
+            unreachable!("the bound is on by default")
+        };
+        let probe = analyzer.probe(reference.input_width());
+        let empirical = EquivConfig {
+            epsilon: 0.05,
+            genbound: GenBoundMode::Off,
+        };
+        let report = assess_whole(reference, candidate, &probe, &empirical).ok()?;
+        let factor = |m: &Model| architecture_factor(m, &analyzer.probe(m.input_width()), &gb);
+        let n = (probe.rows() as f64).sqrt();
+        Some(
+            report.empirical_diff
+                + gb.constant * 0.5 * (factor(reference) + factor(candidate)) / (gb.gamma * n)
+                + gb.concentration / n,
+        )
+    }
+
+    #[test]
+    fn signature_path_matches_the_model_path() {
+        use sommelier_equiv::iocheck::PREPROCESSOR_KEY;
+        use sommelier_tensor::Shape;
+        let bits = |d: Option<f64>| d.map(f64::to_bits);
+        let classifier = mlp(TaskKind::ImageRecognition, Shape::vector(8), 4, 1);
+        let sibling = mlp(TaskKind::ImageRecognition, Shape::vector(8), 4, 2);
+        let regressor = mlp(TaskKind::ObjectDetection, Shape::vector(8), 4, 3);
+        let wide = mlp(TaskKind::ImageRecognition, Shape::vector(8), 5, 4);
+        let labelled = |seed: u64, labels: [&str; 4]| {
+            let mut m = mlp(TaskKind::ImageRecognition, Shape::vector(8), 4, seed);
+            m.output_syntax = Some(labels.iter().map(|l| l.to_string()).collect());
+            m
+        };
+        let cats = labelled(5, ["cat", "dog", "fox", "owl"]);
+        let dogs = labelled(6, ["dog", "cat", "fox", "owl"]);
+        let preprocessed = |input: Shape, seed: u64| {
+            let mut m = mlp(TaskKind::ImageRecognition, input, 4, seed);
+            m.metadata.insert(PREPROCESSOR_KEY.into(), "resize".into());
+            m
+        };
+        let flat = preprocessed(Shape::vector(8), 7);
+        let grid = preprocessed(Shape::matrix(2, 4), 8);
+        let wider = preprocessed(Shape::vector(10), 9);
+        // (case, reference, candidate, comparable)
+        let cases = [
+            ("classification reference", &classifier, &sibling, true),
+            ("regression reference", &regressor, &classifier, true),
+            ("mismatched output width", &classifier, &wide, false),
+            ("differing output syntax", &cats, &dogs, false),
+            ("waiver, different input shapes", &flat, &grid, true),
+            // The model path runs the candidate on the reference's probe,
+            // which a different input width cannot execute.
+            ("probe execution fails", &flat, &wider, false),
+        ];
+        for (case, a, b, comparable) in cases {
+            for (reference, candidate) in [(a, b), (b, a)] {
+                let expected = assessed_diff(&analyzer(0), reference, candidate);
+                assert_eq!(expected.is_some(), comparable, "{case}");
+                let uncached = analyzer(0);
+                assert_eq!(
+                    bits(uncached.whole_diff(reference, candidate)),
+                    bits(expected),
+                    "{case}: model path"
+                );
+                let fps = [
+                    Fingerprint::of_model(reference),
+                    Fingerprint::of_model(candidate),
+                ];
+                assert_eq!(
+                    uncached.cached_whole_diff(fps[0], fps[1]),
+                    None,
+                    "{case}: cap 0 keeps no outputs"
+                );
+
+                let cached = analyzer(64);
+                cached.prepare(reference, fps[0]);
+                cached.prepare(candidate, fps[1]);
+                assert_eq!(
+                    cached.cached_whole_diff(fps[0], fps[1]).map(bits),
+                    Some(bits(expected)),
+                    "{case}: signatures"
+                );
+                assert_eq!(
+                    bits(analyzer(64).whole_diff(reference, candidate)),
+                    bits(expected),
+                    "{case}: whole_diff"
+                );
+            }
+        }
+    }
+
+    /// A repository of `n` tiny image models behind a load counter, and
+    /// an engine (segment analysis off) that indexed them all.
+    fn warm_tiny_engine(n: u64) -> (Arc<CountingRepository>, Sommelier) {
+        let models: Vec<Model> = (0..n)
+            .map(|i| tiny(&format!("t{i}"), TaskKind::ImageRecognition, 100 + i))
+            .collect();
+        let repo = counting_repo(&models);
+        let mut cfg = tiny_config();
+        cfg.index.segments = false;
+        let mut engine = Sommelier::connect(Arc::clone(&repo) as Arc<dyn ModelRepository>, cfg);
+        assert_eq!(engine.index_existing().unwrap(), n as usize);
+        (repo, engine)
+    }
+
+    #[test]
+    fn publish_against_a_warm_index_loads_no_partner() {
+        let (repo, mut engine) = warm_tiny_engine(6);
+        let loads = repo.loads();
+        let before = engine.cache_stats();
+        engine
+            .register(&tiny("fresh", TaskKind::ImageRecognition, 7))
+            .unwrap();
+        assert_eq!(repo.loads(), loads, "every partner's signature is resident");
+        // Each analysis answered from signatures is booked like a full
+        // one: a miss, then an insert.
+        let after = engine.cache_stats();
+        assert_eq!(after.hits, before.hits);
+        assert!(after.misses > before.misses);
+        assert_eq!(
+            after.misses - before.misses,
+            (after.entries - before.entries) as u64
+        );
+
+        repo.inner
+            .publish("late", &tiny("late", TaskKind::ImageRecognition, 8), false)
+            .unwrap();
+        let loads = repo.loads();
+        assert_eq!(engine.index_existing().unwrap(), 1);
+        assert_eq!(repo.loads(), loads + 1, "only the new key is loaded");
+    }
+
+    #[test]
+    fn resident_signatures_never_outnumber_indexed_models() {
+        let (_repo, mut engine) = warm_tiny_engine(5);
+        for round in 0..4u64 {
+            let adds: Vec<Model> = (0..3)
+                .map(|i| {
+                    tiny(
+                        &format!("c{round}-{i}"),
+                        TaskKind::ImageRecognition,
+                        1_000 + 10 * round + i,
+                    )
+                })
+                .collect();
+            let mut batch = MutationBatch::new();
+            for m in adds {
+                batch = batch.register(m);
+            }
+            if round > 0 {
+                for i in 0..3 {
+                    batch = batch.unregister(format!("c{}-{i}", round - 1));
+                }
+            }
+            batch = batch.unregister(format!("t{round}"));
+            engine.apply(batch).unwrap();
+            let indexed = engine.semantic_index().entries_audit().len();
+            let (resident, _) = engine.analyzer.signatures.stats();
+            assert!(resident > 0, "round {round}: analyzed models keep signatures");
+            assert!(
+                resident <= indexed,
+                "round {round}: {resident} signatures for {indexed} indexed models"
             );
         }
     }

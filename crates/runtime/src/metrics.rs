@@ -25,6 +25,7 @@ use sommelier_tensor::{ops, Tensor};
 /// Well-known names (kept in sync with README's metrics table):
 /// `pairwise_cache.hits`, `pairwise_cache.misses`,
 /// `pairwise_cache.evictions`, `pairwise_cache.entries`,
+/// `pairwise_cache.signatures`, `pairwise_cache.signature_bytes`,
 /// `index.pair_analyses`, `index.models_indexed`,
 /// `query.candidates_scored`; from the durability layer:
 /// `recovery.loads`, `recovery.rebuilds`, `recovery.quarantined`,

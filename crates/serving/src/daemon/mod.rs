@@ -32,7 +32,7 @@ pub mod client;
 pub mod protocol;
 pub mod tenants;
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,6 +50,13 @@ use tenants::{TenantBook, TenantDecision};
 
 /// Requests between local-histogram merges on a connection.
 const FLUSH_EVERY: u64 = 64;
+
+/// Longest request frame the daemon buffers, newline excluded. It sits
+/// far above any legitimate `query_batch` frame (a whole command line of
+/// query texts is at most 2 MiB); a longer frame is answered
+/// `bad_request` at once and the rest of its bytes are skipped, not
+/// buffered.
+pub const MAX_FRAME_BYTES: usize = 4 << 20;
 
 /// The merged request-latency histogram's registry name.
 pub const REQUEST_HISTOGRAM: &str = "serve.request_ms";
@@ -245,9 +252,29 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     let mut frame = Vec::new();
     loop {
         frame.clear();
-        match lines.read_until(b'\n', &mut frame) {
+        match (&mut lines)
+            .take(MAX_FRAME_BYTES as u64 + 1)
+            .read_until(b'\n', &mut frame)
+        {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
+        }
+        if frame.len() > MAX_FRAME_BYTES && frame.last() != Some(&b'\n') {
+            counters::add("serve.oversized_frames", 1);
+            let response = error_frame(
+                None,
+                ErrorCode::BadRequest,
+                &format!("request frame exceeds {MAX_FRAME_BYTES} bytes"),
+                None,
+            );
+            frame = Vec::new();
+            if writer.write_all(response.as_bytes()).is_err()
+                || writer.write_all(b"\n").is_err()
+                || !skip_line(&mut lines)
+            {
+                break;
+            }
+            continue;
         }
         let line = std::str::from_utf8(&frame).map(str::trim);
         if line.is_ok_and(str::is_empty) {
@@ -282,6 +309,24 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     }
     let active = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
     counters::set("serve.active_connections", active);
+}
+
+/// Discard input through the next newline without buffering it.
+/// Returns false at end of input or on a read error.
+fn skip_line(input: &mut impl BufRead) -> bool {
+    loop {
+        let (found, used) = match input.fill_buf() {
+            Ok([]) | Err(_) => return false,
+            Ok(buf) => match buf.iter().position(|&b| b == b'\n') {
+                Some(i) => (true, i + 1),
+                None => (false, buf.len()),
+            },
+        };
+        input.consume(used);
+        if found {
+            return true;
+        }
+    }
 }
 
 /// Dispatch one request line to one response frame. The bool asks the

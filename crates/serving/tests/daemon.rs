@@ -88,6 +88,17 @@ fn protocol_round_trip_and_graceful_shutdown() {
             "metrics missing counter {key}: {counters:?}"
         );
     }
+    // The analyzer's probe signatures are read at scrape time: the
+    // fixture's registrations left one per analyzed model.
+    for key in [
+        "pairwise_cache.signatures",
+        "pairwise_cache.signature_bytes",
+    ] {
+        assert!(
+            matches!(counters.get_field(key), Some(Value::UInt(n)) if *n > 0),
+            "metrics counter {key} missing or zero: {counters:?}"
+        );
+    }
 
     let before = match fsck.body.get_field("epoch") {
         Some(Value::UInt(e)) => *e,
@@ -144,6 +155,40 @@ fn non_utf8_frames_get_typed_bad_request_not_disconnect() {
     // The same connection still serves the next frame.
     let pong = replies.next().expect("a reply to the ping").unwrap();
     assert!(pong.contains("\"pong\""), "{pong}");
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn oversized_frames_get_bad_request_without_being_buffered() {
+    use sommelier_serving::daemon::MAX_FRAME_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, addr, _reference, _victim) = start(DaemonConfig::default());
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // A well-formed ping padded past the limit, its end not yet sent:
+    // the daemon answers once the limit is crossed, not at the newline.
+    let mut frame = br#"{"id":1,"op":"ping""#.to_vec();
+    frame.resize(frame.len() + MAX_FRAME_BYTES, b' ');
+    stream.write_all(&frame).unwrap();
+    let mut replies = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    replies
+        .read_line(&mut line)
+        .expect("the oversized frame is answered before it ends");
+    assert!(line.contains("bad_request"), "{line}");
+    // Other connections are served meanwhile.
+    let mut other = Client::connect(&addr).unwrap();
+    assert!(other.ping().unwrap().ok);
+    // The rest of the oversized frame is skipped; the next one is served.
+    stream
+        .write_all(b"}\n{\"id\":2,\"op\":\"ping\"}\n")
+        .unwrap();
+    line.clear();
+    replies.read_line(&mut line).unwrap();
+    assert!(line.contains("\"pong\""), "{line}");
     handle.shutdown();
     handle.wait();
 }
